@@ -5,7 +5,7 @@ PY ?= python
 
 .PHONY: test bench-routing bench-sim bench-smoke bench-figures fuzz-smoke \
 	trace-smoke resilience-smoke service-smoke bench-service \
-	zerocopy-smoke bench-zerocopy drift-smoke chaos-smoke bench-chaos
+	chaos-smoke bench-chaos bench-e2e-smoke
 
 # Tier-1 test suite.
 test:
@@ -65,41 +65,15 @@ service-smoke:
 bench-service:
 	PYTHONPATH=src $(PY) benchmarks/bench_service.py
 
-# Streaming-drift smoke gate: first a planted-divergence self-test
-# (corrupting one distance row must trip the comparison), then a seeded
-# 50-update calibration replay where the incremental table refresh must
-# stay byte-identical to a wholesale rebuild at every epoch — on the
-# distance tables and on a routed Fig. 3 suite — while recomputing
-# strictly fewer rows, all under 15s; rewrites the committed
-# BENCH_drift.json (rows recomputed, invalidation latency).
-drift-smoke:
-	PYTHONPATH=src $(PY) benchmarks/bench_drift.py --smoke
-
-# Zero-copy smoke gate: a reduced suite through the shared-memory
-# payload plane with fused batching and one injected worker SIGKILL;
-# fails unless the recovered run is byte-identical to the legacy
-# by-value dispatch, no shm segments leak, and the whole run stays
-# under 15s.
-zerocopy-smoke:
-	PYTHONPATH=src $(PY) benchmarks/bench_zero_copy.py --smoke
-
-# Full zero-copy benchmark: 30-circuit suite transport comparison plus
-# the simulator/router workspace micro-benchmarks; rewrites the
-# committed BENCH_zero_copy.json and fails unless the acceptance bar
-# (>=1.5x end-to-end or >=2x shipped-bytes reduction, byte-identical
-# outputs) is met.
-bench-zerocopy:
-	PYTHONPATH=src $(PY) benchmarks/bench_zero_copy.py
-
 # Chaos smoke gate: first the planted-violation self-test (a corrupted
 # twin payload must be reported, proving the checker can fail), then a
 # seeded composed soak (2 worker kills, 1 watchdog-detected hang,
-# 1 poison-job quarantine, a 3-delta drift burst, 1 shm unlink and an
+# 1 poison-job quarantine, a 3-delta drift burst and an
 # admission-pressure wave over 12 waves) with every invariant green —
 # resolve-or-quarantine, byte-identity vs the fault-free twin, exact
-# cache counters, epoch pinning, pool recovery, zero leaked segments —
-# and finally a graceful-drain drill (queued jobs journaled to JSONL,
-# typed ServiceDraining rejection).
+# cache counters, epoch pinning, pool recovery — and finally a
+# graceful-drain drill (queued jobs journaled to JSONL, typed
+# ServiceDraining rejection).
 chaos-smoke:
 	PYTHONPATH=src $(PY) benchmarks/bench_chaos.py --smoke
 
@@ -108,6 +82,13 @@ chaos-smoke:
 # checks, wall times).
 bench-chaos:
 	PYTHONPATH=src $(PY) benchmarks/bench_chaos.py
+
+# End-to-end benchmark gate: all four workloads of bench/ (BENCHMARK.json)
+# shrunk to a smoke run with every output check on, then the benchmark's
+# own tests.
+bench-e2e-smoke:
+	$(PY) bench/run.py --smoke
+	$(PY) -m pytest bench -q
 
 # The paper-figure benchmark harness (slow; full 200-circuit sweep).
 bench-figures:

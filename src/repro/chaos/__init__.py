@@ -2,11 +2,11 @@
 
 :mod:`repro.chaos.plan` draws a deterministic, wave-indexed schedule of
 composed faults (worker kills, hangs, poison jobs, calibration drift
-bursts, shared-memory unlinks, admission pressure);
+bursts, admission pressure);
 :mod:`repro.chaos.runner` replays it against a live service next to a
 fault-free twin and asserts end-to-end invariants (every admitted job
 resolves or quarantines, payload byte-identity, exact cache counters,
-epoch pinning, pool recovery, zero leaked segments);
+epoch pinning, pool recovery);
 :mod:`repro.chaos.selftest` proves the checker catches a planted
 violation.  ``repro chaos`` and ``make chaos-smoke`` drive it from the
 command line.

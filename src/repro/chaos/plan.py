@@ -4,8 +4,7 @@ A :class:`ChaosPlan` composes the repository's existing fault
 primitives — worker SIGKILL (PR 5/6 crash recovery), worker hangs
 (``FaultPlan`` ``hang`` specs caught by the health watchdog),
 poison jobs (repeat killers the service must quarantine), calibration
-drift bursts (:class:`~repro.hardware.drift.DriftPlan`), shared-memory
-segment unlinks (the zero-copy data plane losing a table) and
+drift bursts (:class:`~repro.hardware.drift.DriftPlan`) and
 admission-pressure waves — into one deterministic schedule keyed on
 *wave index*, not wall-clock time.  Wave-indexed scheduling is what
 makes a chaos run replayable: the same seed produces the same events at
@@ -30,9 +29,6 @@ Event kinds:
     Apply ``count`` calibration deltas from the plan's
     :class:`DriftPlan` after the wave is gathered (epoch bump; jobs
     admitted later compile under the new key, pinned jobs do not).
-``unlink``
-    Unlink one published zero-copy prewarm segment after the wave
-    (respawned workers must fall back to local rebuilds).
 ``pressure``
     Multiply the wave's size by ``count`` and submit it as one burst —
     the admission-control stress case.
@@ -54,7 +50,7 @@ from ..hardware.drift import DriftPlan
 
 __all__ = ["CHAOS_KINDS", "ChaosEvent", "ChaosPlan"]
 
-CHAOS_KINDS = ("kill", "hang", "poison", "drift", "unlink", "pressure")
+CHAOS_KINDS = ("kill", "hang", "poison", "drift", "pressure")
 
 #: Kinds that decorate a wave's requests at generation time (the other
 #: kinds are actions the runner fires against the live service).
@@ -103,7 +99,6 @@ class ChaosPlan:
         hangs: int = 1,
         poisons: int = 1,
         drifts: int = 1,
-        unlinks: int = 1,
         pressures: int = 1,
         drift_burst: int = 3,
         poison_attempts: int = 8,
@@ -149,8 +144,6 @@ class ChaosPlan:
             events.append(
                 ChaosEvent(int(rng.integers(waves)), "drift", count=drift_burst)
             )
-        for _ in range(unlinks):
-            events.append(ChaosEvent(int(rng.integers(waves)), "unlink"))
         for _ in range(pressures):
             events.append(
                 ChaosEvent(int(rng.integers(waves)), "pressure", count=3)

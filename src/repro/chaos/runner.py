@@ -10,9 +10,8 @@ plan's events — and checks end-to-end invariants after every wave:
    with a recorded reason (poison jobs *must* quarantine; nothing else
    may fail).
 2. **Byte identity** — every resolved payload is byte-identical to the
-   twin's payload for the same request index: kills, hangs, respawns,
-   segment unlinks and admission pressure may cost latency, never
-   bytes.
+   twin's payload for the same request index: kills, hangs, respawns
+   and admission pressure may cost latency, never bytes.
 3. **Exact counters** — ``cache hits + misses == admitted requests``
    at every wave boundary (each admitted job does exactly one lookup).
 4. **Epoch pinning** — the calibration digest embedded in a payload
@@ -20,8 +19,6 @@ plan's events — and checks end-to-end invariants after every wave:
    later one, and the chaos run's per-epoch digests match the twin's.
 5. **Worker recovery** — after kills and watchdog hang-kills the pool
    returns to full strength within a bounded window.
-6. **No leaks** — after shutdown this process owns zero shared-memory
-   segments and ``/dev/shm`` holds nothing new.
 
 A planted-violation self-test (:mod:`repro.chaos.selftest`) proves the
 checker itself can fail: a deliberately corrupted twin payload must be
@@ -36,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
-from ..runtime import shm
 from ..service import (
     AdmissionError,
     CompilationService,
@@ -75,7 +71,6 @@ class ChaosReport:
     waves: int = 0
     wave_size: int = 0
     workers: int = 0
-    zero_copy: bool = False
     events: str = ""
     requests: int = 0
     admitted: int = 0
@@ -88,7 +83,6 @@ class ChaosReport:
     hangs_detected: int = 0
     respawns: Dict[str, int] = field(default_factory=dict)
     drift_updates: int = 0
-    unlinked_segments: int = 0
     checks: int = 0
     violations: List[str] = field(default_factory=list)
     wall_s: float = 0.0
@@ -104,7 +98,6 @@ class ChaosReport:
             "waves": self.waves,
             "wave_size": self.wave_size,
             "workers": self.workers,
-            "zero_copy": self.zero_copy,
             "events": self.events,
             "requests": self.requests,
             "admitted": self.admitted,
@@ -117,7 +110,6 @@ class ChaosReport:
             "hangs_detected": self.hangs_detected,
             "respawns": dict(self.respawns),
             "drift_updates": self.drift_updates,
-            "unlinked_segments": self.unlinked_segments,
             "invariant_checks": self.checks,
             "violations": list(self.violations),
             "ok": self.ok,
@@ -128,8 +120,7 @@ class ChaosReport:
     def format(self) -> str:
         lines = [
             f"chaos soak: seed {self.seed}, {self.waves} waves x "
-            f"{self.wave_size}, workers={self.workers}, "
-            f"zero_copy={self.zero_copy}",
+            f"{self.wave_size}, workers={self.workers}",
             f"events:     {self.events}",
             f"requests:   {self.requests} ({self.admitted} admitted, "
             f"{self.rejected} rejected, {self.resolved} resolved, "
@@ -137,7 +128,6 @@ class ChaosReport:
             f"faults:     {self.kills_injected} kills, "
             f"{self.hangs_detected}/{self.hangs_planted} hangs detected, "
             f"{self.drift_updates} drift updates, "
-            f"{self.unlinked_segments} segments unlinked, "
             f"respawns {self.respawns}",
             f"invariants: {self.checks} checks, "
             f"{len(self.violations)} violations "
@@ -162,7 +152,6 @@ class ChaosRunner:
         stream_seed: int = 11,
         heartbeat_budget_s: float = 1.0,
         max_job_attempts: int = 2,
-        zero_copy: Optional[bool] = None,
         timeout_s: float = 120.0,
         respawn_window_s: float = 20.0,
         raise_on_violation: bool = True,
@@ -184,9 +173,6 @@ class ChaosRunner:
         self.stream_seed = stream_seed
         self.heartbeat_budget_s = heartbeat_budget_s
         self.max_job_attempts = max_job_attempts
-        self.zero_copy = (
-            shm.is_available() if zero_copy is None else bool(zero_copy)
-        )
         self.timeout_s = timeout_s
         self.respawn_window_s = respawn_window_s
         self.raise_on_violation = raise_on_violation
@@ -297,7 +283,6 @@ class ChaosRunner:
             waves=self.plan.waves,
             wave_size=self.plan.wave_size,
             workers=self.workers,
-            zero_copy=self.zero_copy,
             events=self.plan.describe(),
             requests=sum(len(slots) for slots in waves),
             hangs_planted=self.plan.counts()["hang"],
@@ -305,12 +290,10 @@ class ChaosRunner:
         )
         twin_payloads, twin_digests, report.twin_wall_s = self._twin_run(waves)
         start = time.perf_counter()
-        leaked_before = set(shm.leaked_segments())
         digests: Dict[int, str] = {}
         service = CompilationService(
             workers=self.workers,
             devices=(self.device,),
-            zero_copy=self.zero_copy,
             heartbeat_budget_s=self.heartbeat_budget_s,
             max_job_attempts=self.max_job_attempts,
         )
@@ -338,10 +321,6 @@ class ChaosRunner:
                 cursor = self._apply_wave_drift(
                     service, wave_no, cursor, digests
                 )
-                for event in self.plan.events_at(wave_no, ("unlink",)):
-                    for _ in range(event.count):
-                        if service.inject_shm_unlink() is not None:
-                            report.unlinked_segments += 1
                 self._check_pool_recovered(
                     report, service, wave_no,
                     min_respawns=respawns_before + kills_this_wave,
@@ -350,7 +329,6 @@ class ChaosRunner:
         finally:
             if service._running:  # noqa: SLF001 - drain() may have stopped it
                 service.stop()
-        self._check_no_leaks(report, leaked_before)
         report.wall_s = time.perf_counter() - start
         if report.violations and self.raise_on_violation:
             raise ChaosInvariantViolation(
@@ -506,24 +484,4 @@ class ChaosRunner:
                 report,
                 "per-epoch calibration digests diverged between the "
                 f"chaos run ({digests}) and the twin ({twin_digests})",
-            )
-
-    def _check_no_leaks(
-        self, report: ChaosReport, leaked_before: set
-    ) -> None:
-        report.checks += 1
-        owned = shm.created_segments()
-        if owned:
-            self._violate(
-                report,
-                f"service shutdown left {len(owned)} owned shm segments "
-                f"alive: {owned}",
-            )
-        fresh = set(shm.leaked_segments()) - leaked_before
-        report.checks += 1
-        if fresh:
-            self._violate(
-                report,
-                f"chaos run leaked {len(fresh)} segments into /dev/shm: "
-                f"{sorted(fresh)}",
             )

@@ -40,7 +40,6 @@ def run_selftest(
         hangs=0,
         poisons=0,
         drifts=0,
-        unlinks=0,
         pressures=0,
     )
     runner = ChaosRunner(

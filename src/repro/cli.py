@@ -412,7 +412,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         hangs=args.hangs,
         poisons=args.poisons,
         drifts=args.drifts,
-        unlinks=args.unlinks,
         pressures=args.pressures,
     )
     print(f"chaos plan: {plan.describe()}", file=sys.stderr)
@@ -732,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = commands.add_parser(
         "chaos",
-        help="seeded chaos soak: composed kill/hang/poison/drift/unlink/"
+        help="seeded chaos soak: composed kill/hang/poison/drift/"
         "pressure faults against a live service, end-to-end invariants "
         "checked against a fault-free twin",
     )
@@ -749,7 +748,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--hangs", type=int, default=1)
     chaos.add_argument("--poisons", type=int, default=1)
     chaos.add_argument("--drifts", type=int, default=1)
-    chaos.add_argument("--unlinks", type=int, default=1)
     chaos.add_argument("--pressures", type=int, default=1)
     chaos.add_argument(
         "--heartbeat-budget",

@@ -45,11 +45,7 @@ __all__ = [
     "TrivialRouter",
     "SabreRouter",
     "NoiseAwareRouter",
-    "DriftRefresh",
     "clear_distance_cache",
-    "refresh_distance_caches",
-    "seed_distance_cache",
-    "seed_incident_cache",
 ]
 
 
@@ -117,27 +113,6 @@ def _cached_distance_matrix(
     return matrix
 
 
-def seed_distance_cache(key: tuple, matrix: np.ndarray) -> bool:
-    """Insert a prebuilt distance table under its cache key.
-
-    The zero-copy service prewarm uses this: the parent builds each
-    device's hop/noise matrices once, publishes them into shared memory
-    (:mod:`repro.runtime.shm`), and every worker seeds its cache with an
-    attached read-only view instead of re-running all-pairs shortest
-    paths per process.  First build wins — an existing entry is kept and
-    ``False`` returned, so seeding can never swap a matrix out from
-    under a live router.
-    """
-    if key in _DISTANCE_CACHE:
-        return False
-    if matrix.flags.writeable:
-        matrix.setflags(write=False)
-    _DISTANCE_CACHE[key] = matrix
-    while len(_DISTANCE_CACHE) > _DISTANCE_CACHE_SIZE:
-        _DISTANCE_CACHE.popitem(last=False)
-    return True
-
-
 _INCIDENT_CACHE: "OrderedDict[object, List[Tuple[Tuple[int, int], ...]]]" = (
     OrderedDict()
 )
@@ -165,196 +140,6 @@ def _incident_edges(coupling) -> List[Tuple[Tuple[int, int], ...]]:
     while len(_INCIDENT_CACHE) > _DISTANCE_CACHE_SIZE:
         _INCIDENT_CACHE.popitem(last=False)
     return table
-
-
-def seed_incident_cache(
-    coupling, table: List[Tuple[Tuple[int, int], ...]]
-) -> bool:
-    """Insert a prebuilt incident-edge table for one coupling graph.
-
-    Companion to :func:`seed_distance_cache` for the service's zero-copy
-    prewarm.  First build wins; returns ``False`` when the coupling was
-    already cached.
-    """
-    if coupling in _INCIDENT_CACHE:
-        return False
-    _INCIDENT_CACHE[coupling] = table
-    while len(_INCIDENT_CACHE) > _DISTANCE_CACHE_SIZE:
-        _INCIDENT_CACHE.popitem(last=False)
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Streaming-drift incremental invalidation
-#
-# A calibration drift changes the noise-weighted metric but not the
-# coupling graph, so most rows of a cached noise distance table stay
-# valid: only sources whose shortest paths can run through a changed edge
-# need a fresh Dijkstra.  The machinery below flags those rows
-# conservatively (over-flagging is wasted work, never a wrong answer:
-# every flagged row is recomputed by the *same* per-source Dijkstra the
-# wholesale build uses, and unflagged rows are carried over verbatim —
-# the result is bit-for-bit identical to a full rebuild, which the
-# ``drift_replay_twin`` fuzz invariant gates).
-# ---------------------------------------------------------------------------
-
-#: Absolute slack for the "edge may lie on a shortest path" triangle
-#: test.  Path costs are sums of normalised edge costs (each >= 1.0), so
-#: float re-association error is ~1e-13 at worst; 1e-9 over-flags a few
-#: near-tie rows and can never under-flag a genuinely used edge.
-_DRIFT_EPS = 1e-9
-
-
-def _dijkstra_row(
-    coupling,
-    costs: Dict[Tuple[int, int], float],
-    scale: float,
-    source: int,
-    row: np.ndarray,
-) -> None:
-    """Single-source shortest paths written into ``row`` in place.
-
-    This is the one and only Dijkstra in the noise metric: the wholesale
-    build calls it per source, the drift refresh calls it per flagged
-    row.  Identical code path => identical float summation order =>
-    bit-for-bit identical tables.
-    """
-    row[:] = np.inf
-    row[source] = 0.0
-    heap = [(0.0, source)]
-    while heap:
-        d, current = heapq.heappop(heap)
-        if d > row[current]:
-            continue
-        for neighbor in coupling.neighbors(current):
-            nd = d + costs[(current, neighbor)] / scale
-            if nd < row[neighbor]:
-                row[neighbor] = nd
-                heapq.heappush(heap, (nd, neighbor))
-
-
-def _affected_rows(
-    old_matrix: np.ndarray,
-    old_costs: Dict[Tuple[int, int], float],
-    new_costs: Dict[Tuple[int, int], float],
-    scale: float,
-    changed_edges,
-) -> List[int]:
-    """Sources whose shortest paths may change, conservatively flagged.
-
-    Two mechanisms cover every way a row can move:
-
-    * **triangle test** — row ``s`` is flagged when some target ``t``
-      satisfies ``D[s,u] + min(c_old, c_new) + D[v,t] <= D[s,t] + eps``
-      for a changed edge ``(u, v)`` (either orientation).  With the
-      *old* cost this catches rows whose current paths run through the
-      edge (cost increases); with the *new* cost it catches rows a
-      single cheaper edge could now serve better.
-    * **min-plus fixpoint** — when several edges got cheaper at once, an
-      improvement may need two or more of them on one path, which no
-      single-edge test sees.  A lower-bound matrix is relaxed through
-      all decreased edges to fixpoint; rows where the bound dropped are
-      flagged.
-    """
-    n = old_matrix.shape[0]
-    mask = np.zeros(n, dtype=bool)
-    decreased: List[Tuple[int, int, float]] = []
-    for a, b in changed_edges:
-        if (a, b) not in new_costs or (a, b) not in old_costs:
-            continue  # not a coupling edge: irrelevant to distances
-        co = old_costs[(a, b)] / scale
-        cn = new_costs[(a, b)] / scale
-        probe = min(co, cn)
-        for u, v in ((a, b), (b, a)):
-            via = old_matrix[:, u, None] + probe + old_matrix[v, None, :]
-            mask |= (via <= old_matrix + _DRIFT_EPS).any(axis=1)
-        if cn < co:
-            decreased.append((a, b, cn))
-    if len(decreased) > 1:
-        lower = old_matrix.copy()
-        for _ in range(len(decreased) + 2):
-            before = lower
-            for a, b, cn in decreased:
-                for u, v in ((a, b), (b, a)):
-                    lower = np.minimum(
-                        lower, lower[:, u, None] + cn + lower[v, None, :]
-                    )
-            if np.array_equal(lower, before):
-                break
-        mask |= (lower < old_matrix).any(axis=1)
-    return [int(i) for i in np.flatnonzero(mask)]
-
-
-@dataclass
-class DriftRefresh:
-    """Outcome of one :func:`refresh_distance_caches` call.
-
-    ``rows_recomputed < total_rows`` on a partial drift is the whole
-    point — the benchmark records both and ``make drift-smoke`` gates on
-    the strict inequality.
-    """
-
-    tables_refreshed: int = 0
-    rows_recomputed: int = 0
-    total_rows: int = 0
-    wholesale_rebuilds: int = 0
-
-
-def refresh_distance_caches(
-    old_device: Device, new_device: Device, diff=None
-) -> DriftRefresh:
-    """Migrate cached noise distance tables across a calibration drift.
-
-    Looks up the table cached under the *old* calibration version and
-    installs its refreshed twin under the *new* version, recomputing
-    only rows flagged by the structural ``diff`` (a
-    :class:`repro.hardware.drift.DriftDiff`; pass ``None`` to force a
-    wholesale rebuild).  The old entry is deliberately left in place —
-    in-flight jobs pinned to the previous epoch still resolve their
-    table without a rebuild; LRU eviction retires it naturally.
-
-    Hop tables key on the coupling graph alone and are untouched by
-    calibration drift.  Telemetry: ``drift_invalidations_total`` counts
-    refreshed tables, ``drift_rows_recomputed_total`` counts Dijkstra
-    rows actually re-run (both labelled ``metric="noise"``).
-    """
-    refresh = DriftRefresh()
-    if old_device.coupling != new_device.coupling:
-        return refresh  # topology change is not drift; nothing to migrate
-    router = NoiseAwareRouter()
-    old_key = router._distance_cache_key(old_device)
-    new_key = router._distance_cache_key(new_device)
-    if old_key == new_key or new_key in _DISTANCE_CACHE:
-        return refresh
-    old_matrix = _DISTANCE_CACHE.get(old_key)
-    if old_matrix is None:
-        return refresh
-    n = new_device.coupling.num_qubits
-    refresh.total_rows = n
-    changed_edges = None
-    if diff is not None and not diff.defaults_changed:
-        changed_edges = diff.changed_edges
-    if changed_edges is None:
-        matrix = router._build_distance_matrix(new_device)
-        rows, wholesale = n, True
-    else:
-        matrix, rows, wholesale = router.refresh_distance_matrix(
-            old_device, new_device, old_matrix, changed_edges
-        )
-    matrix.setflags(write=False)
-    _DISTANCE_CACHE[new_key] = matrix
-    while len(_DISTANCE_CACHE) > _DISTANCE_CACHE_SIZE:
-        _DISTANCE_CACHE.popitem(last=False)
-    refresh.tables_refreshed = 1
-    refresh.rows_recomputed = rows
-    refresh.wholesale_rebuilds = 1 if wholesale else 0
-    telemetry_metrics.counter(
-        "drift_invalidations_total", metric="noise"
-    ).inc()
-    telemetry_metrics.counter(
-        "drift_rows_recomputed_total", metric="noise"
-    ).inc(rows)
-    return refresh
 
 
 def _endpoint_arrays(
@@ -545,84 +330,6 @@ def _bridge_cx(control: int, middle: int, target: int) -> List[Gate]:
     ]
 
 
-class _ScoreBuffers:
-    """Grow-only flat scratch buffers for workspace candidate scoring.
-
-    One instance per router (never pickled — see
-    ``SabreRouter.__getstate__``); capacities only grow, so steady-state
-    routing performs zero allocations per swap round.  Axis conventions:
-    ``C`` = candidate count, ``L`` = front + extended endpoint pairs.
-
-    The multi-axis buffers are stored **flat** and reshaped to each
-    round's exact ``(C, 2, L)`` / ``(C, L)`` geometry: a rectangular
-    slice of an oversized 3-D array is strided in its last axis, and the
-    strided ufunc inner loops cost more than the allocations they were
-    meant to save.  A prefix of a flat buffer reshaped to the exact
-    shape is C-contiguous, so the kernels run at full speed.
-    """
-
-    __slots__ = (
-        "cap_c", "cap_l", "geom", "views",
-        "cand", "mask_a", "mask_b", "moved", "flat",
-        "trial", "cost", "ext", "decay_pair", "decay_max", "endpoints",
-    )
-
-    def __init__(self) -> None:
-        self.cap_c = 0
-        self.cap_l = 0
-        self.geom: Optional[Tuple[int, int]] = None
-        self.views: tuple = ()
-
-    def ensure(self, num_candidates: int, num_pairs: int) -> None:
-        if num_candidates <= self.cap_c and num_pairs <= self.cap_l:
-            return
-        self.cap_c = max(num_candidates, self.cap_c, 16)
-        self.cap_l = max(num_pairs, self.cap_l, 8)
-        c, l = self.cap_c, self.cap_l
-        self.cand = np.empty((c, 2), dtype=np.intp)
-        self.mask_a = np.empty(c * 2 * l, dtype=bool)
-        self.mask_b = np.empty(c * 2 * l, dtype=bool)
-        self.moved = np.empty(c * 2 * l, dtype=np.intp)
-        self.flat = np.empty(c * l, dtype=np.intp)
-        self.trial = np.empty(c * l, dtype=float)
-        self.cost = np.empty(c, dtype=float)
-        self.ext = np.empty(c, dtype=float)
-        self.decay_pair = np.empty((c, 2), dtype=float)
-        self.decay_max = np.empty(c, dtype=float)
-        self.endpoints = np.empty(2 * l, dtype=np.intp)
-        self.geom = None
-
-    def shaped(self, num_candidates: int, num_pairs: int) -> tuple:
-        """Exact-geometry contiguous views of the flat buffers.
-
-        Consecutive swap rounds mostly score the same ``(C, L)``
-        geometry, so the view tuple is memoised — slicing and reshaping
-        ten arrays per round otherwise shows up next to the kernels
-        themselves.
-        """
-        if self.geom != (num_candidates, num_pairs):
-            self.ensure(num_candidates, num_pairs)
-            c, l = num_candidates, num_pairs
-            cells = c * 2 * l
-            cand = self.cand[:c]
-            self.views = (
-                cand,
-                cand[:, 0, None, None],
-                cand[:, 1, None, None],
-                self.mask_a[:cells].reshape(c, 2, l),
-                self.mask_b[:cells].reshape(c, 2, l),
-                self.moved[:cells].reshape(c, 2, l),
-                self.flat[: c * l].reshape(c, l),
-                self.trial[: c * l].reshape(c, l),
-                self.cost[:c],
-                self.ext[:c],
-                self.decay_pair[:c],
-                self.decay_max[:c],
-            )
-            self.geom = (num_candidates, num_pairs)
-        return self.views
-
-
 class SabreRouter(Router):
     """SABRE-style look-ahead router.
 
@@ -652,15 +359,6 @@ class SabreRouter(Router):
         Swap rounds without front-layer progress before the router falls
         back to deterministic shortest-path routing for the first blocked
         gate.  ``None`` uses ``10 * max(10, device.num_qubits)``.
-    use_workspace:
-        Score candidates through preallocated numpy buffers (masked
-        ``copyto`` substitution, flat-index ``take`` gathers, ``out=``
-        reductions) instead of allocating fresh arrays every swap round.
-        Bit-for-bit identical scores and swap choices — the fuzz
-        invariant bank pairs the two paths as differential twins — with
-        zero per-round allocation.  Default off: the allocating path
-        stays the reference implementation.  The buffers are per-router
-        scratch and never travel with pickled payloads.
     """
 
     name = "sabre"
@@ -688,7 +386,6 @@ class SabreRouter(Router):
         seed: Optional[int] = 11,
         incremental: bool = True,
         stall_limit: Optional[int] = None,
-        use_workspace: bool = False,
     ) -> None:
         self.lookahead_size = lookahead_size
         self.lookahead_weight = lookahead_weight
@@ -696,17 +393,8 @@ class SabreRouter(Router):
         self.decay_reset_interval = decay_reset_interval
         self.incremental = incremental
         self.stall_limit = stall_limit
-        self.use_workspace = use_workspace
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-        self._score_ws: Optional[_ScoreBuffers] = None
-
-    def __getstate__(self) -> dict:
-        # Scoring buffers are per-process scratch: dropping them keeps
-        # pickled payloads small and every worker allocates its own.
-        state = dict(self.__dict__)
-        state["_score_ws"] = None
-        return state
 
     def twin(self) -> "SabreRouter":
         """A freshly seeded clone running the *other* scoring path.
@@ -727,27 +415,6 @@ class SabreRouter(Router):
             seed=self.seed,
             incremental=not self.incremental,
             stall_limit=self.stall_limit,
-            use_workspace=self.use_workspace,
-        )
-
-    def workspace_twin(self) -> "SabreRouter":
-        """A freshly seeded clone running the *other* scoring transport.
-
-        Same contract as :meth:`twin`, but flipping ``use_workspace``
-        instead of ``incremental``: the preallocated-buffer scoring path
-        against the allocating reference implementation.  Both must be
-        fresh (no prior ``route`` calls) for the RNG streams to align;
-        outputs are bit-for-bit identical, which the fuzz harness gates.
-        """
-        return type(self)(
-            lookahead_size=self.lookahead_size,
-            lookahead_weight=self.lookahead_weight,
-            decay_delta=self.decay_delta,
-            decay_reset_interval=self.decay_reset_interval,
-            seed=self.seed,
-            incremental=self.incremental,
-            stall_limit=self.stall_limit,
-            use_workspace=not self.use_workspace,
         )
 
     # -- distance metric -------------------------------------------------
@@ -780,6 +447,10 @@ class SabreRouter(Router):
             self._distance_cache_key(device),
             lambda: self._build_distance_matrix(device),
         )
+
+    def _is_cached(self, device: Device) -> bool:
+        """Whether ``device``'s table is already in the distance cache."""
+        return self._distance_cache_key(device) in _DISTANCE_CACHE
 
     # ---------------------------------------------------------------------
     def _route(
@@ -888,17 +559,7 @@ class SabreRouter(Router):
             )
             chosen = self._select(scores)
             best_swap = ordered[chosen]
-            if self.use_workspace:
-                # ``moved`` is workspace scratch, overwritten next round;
-                # keep the adopted row in the dedicated endpoint buffer.
-                ws = self._score_ws
-                num_pairs = moved.shape[2]
-                endpoints = ws.endpoints[: 2 * num_pairs].reshape(
-                    2, num_pairs
-                )
-                np.copyto(endpoints, moved[chosen])
-            else:
-                endpoints = moved[chosen]
+            endpoints = moved[chosen]
             out.append(Gate("swap", best_swap))
             layout.swap_physical(*best_swap)
             swap_count += 1
@@ -1151,17 +812,7 @@ class SabreRouter(Router):
         tensor of shape ``(candidates, 2, front+extended)`` so the caller
         can adopt the chosen candidate's slice instead of rebuilding from
         the layout.
-
-        With ``use_workspace`` the same arithmetic runs through
-        preallocated buffers (:class:`_ScoreBuffers`); the returned
-        ``moved`` is then a view of scratch memory that is only valid
-        until the next scoring round — the routing loop copies the
-        chosen row out before continuing.
         """
-        if self.use_workspace:
-            return self._score_candidates_workspace(
-                endpoints, candidates, num_front, num_extended, dist, decay
-            )
         cand = np.asarray(candidates, dtype=np.intp)
         swap_a = cand[:, 0, None, None]
         swap_b = cand[:, 1, None, None]
@@ -1178,73 +829,6 @@ class SabreRouter(Router):
             )
         scores = (decay[cand].max(axis=1) * cost).tolist()
         return scores, moved
-
-    def _score_candidates_workspace(
-        self,
-        endpoints: np.ndarray,
-        candidates: Sequence[Tuple[int, int]],
-        num_front: int,
-        num_extended: int,
-        dist: np.ndarray,
-        decay: np.ndarray,
-    ) -> Tuple[List[float], np.ndarray]:
-        """Allocation-free rescoring into :class:`_ScoreBuffers`.
-
-        Every step is the in-place image of the reference path's
-        expression and bitwise-identical to it: masked ``copyto`` for
-        the nested ``np.where`` endpoint substitution (masks are taken
-        from the unmutated ``endpoints``), a flat-index ``take`` for the
-        fancy-indexed distance gather, and ``out=`` reductions for the
-        cost sums.  Returns views of scratch memory valid until the
-        next call.
-        """
-        ws = self._score_ws
-        if ws is None:
-            ws = self._score_ws = _ScoreBuffers()
-        num_candidates = len(candidates)
-        num_pairs = endpoints.shape[1]
-        (
-            cand,
-            swap_a,
-            swap_b,
-            mask_a,
-            mask_b,
-            moved,
-            flat,
-            trial,
-            cost,
-            ext,
-            decay_pair,
-            decay_max,
-        ) = ws.shaped(num_candidates, num_pairs)
-
-        cand[:] = candidates
-        np.equal(endpoints, swap_a, out=mask_a)
-        np.equal(endpoints, swap_b, out=mask_b)
-        np.copyto(moved, endpoints)
-        # copyto broadcasts the (C, 1, 1) source itself — wrapping it in
-        # np.broadcast_to would double the cost of these two kernels.
-        np.copyto(moved, swap_b, where=mask_a)
-        np.copyto(moved, swap_a, where=mask_b)
-
-        np.multiply(moved[:, 0], dist.shape[1], out=flat)
-        np.add(flat, moved[:, 1], out=flat)
-        # ndarray.take / ufunc.reduce skip the np.take / np.sum / np.max
-        # wrapper dispatch, which costs more than these tiny kernels do.
-        dist.reshape(-1).take(flat, out=trial)
-
-        np.add.reduce(trial[:, :num_front], axis=1, out=cost)
-        cost /= num_front
-        if num_extended:
-            np.add.reduce(trial[:, num_front:], axis=1, out=ext)
-            ext /= num_extended
-            ext *= self.lookahead_weight
-            cost += ext
-
-        decay.take(cand, out=decay_pair)
-        np.maximum.reduce(decay_pair, axis=1, out=decay_max)
-        np.multiply(decay_max, cost, out=decay_max)
-        return decay_max.tolist(), moved
 
     def _select(self, scores: Sequence[float]) -> int:
         """Running-threshold tie collection plus one RNG draw.
@@ -1349,44 +933,18 @@ class NoiseAwareRouter(SabreRouter):
         costs, scale = self._edge_costs(device)
         n = device.coupling.num_qubits
         dist = np.full((n, n), np.inf)
-        # Dijkstra from every source (n is ~100; fine).  Each row is an
-        # independent single-source run through :func:`_dijkstra_row` —
-        # the same routine the drift refresh path uses to recompute
-        # invalidated rows, which is what makes the incremental table
-        # bit-for-bit identical to this wholesale build.
+        # Dijkstra from every source (n is ~100; fine).
         for source in range(n):
-            _dijkstra_row(device.coupling, costs, scale, source, dist[source])
+            row = dist[source]
+            row[source] = 0.0
+            heap = [(0.0, source)]
+            while heap:
+                d, current = heapq.heappop(heap)
+                if d > row[current]:
+                    continue
+                for neighbor in device.coupling.neighbors(current):
+                    nd = d + costs[(current, neighbor)] / scale
+                    if nd < row[neighbor]:
+                        row[neighbor] = nd
+                        heapq.heappush(heap, (nd, neighbor))
         return dist
-
-    # -- streaming-drift refresh ------------------------------------------
-    def refresh_distance_matrix(
-        self,
-        old_device: Device,
-        new_device: Device,
-        old_matrix: np.ndarray,
-        changed_edges: Sequence[Tuple[int, int]],
-    ) -> Tuple[np.ndarray, int, bool]:
-        """Migrate a cached distance table across a calibration drift.
-
-        Returns ``(matrix, rows_recomputed, wholesale)``.  Only rows
-        whose shortest paths can be affected by the changed edges are
-        recomputed (via the exact same per-source Dijkstra as
-        :meth:`_build_distance_matrix`, so the result is bit-for-bit
-        identical to a full rebuild); every other row is carried over
-        verbatim.  When the drift moves the *scale* divisor (the best
-        edge cost changed) every entry of the table shifts and the
-        method falls back to a wholesale rebuild.
-        """
-        coupling = new_device.coupling
-        n = coupling.num_qubits
-        old_costs, old_scale = self._edge_costs(old_device)
-        new_costs, new_scale = self._edge_costs(new_device)
-        if new_scale != old_scale or old_matrix.shape != (n, n):
-            return self._build_distance_matrix(new_device), n, True
-        flagged = _affected_rows(
-            old_matrix, old_costs, new_costs, new_scale, changed_edges
-        )
-        matrix = old_matrix.copy()
-        for source in flagged:
-            _dijkstra_row(coupling, new_costs, new_scale, source, matrix[source])
-        return matrix, len(flagged), False

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import pickle
-from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..circuit import Circuit, parse_qasm, to_qasm
@@ -34,10 +33,9 @@ from ..compiler import (
     TrivialPlacement,
     decompose_circuit,
 )
-from ..compiler.routing import NoiseAwareRouter, Router, RoutingResult
+from ..compiler.routing import Router, RoutingResult
 from ..core.interaction import InteractionGraph
 from ..core.metrics import BETWEENNESS_METRICS, compute_metrics, metrics_twin_deltas
-from ..hardware.drift import CalibrationStream, DriftPlan
 from ..metrics.fidelity import product_fidelity
 from .generator import FuzzSample
 
@@ -139,91 +137,6 @@ class SabreTwinInvariant(_RoutingMixin, Invariant):
             )
         if fast.final_layout != slow.final_layout:
             return "final layouts diverge"
-        return None
-
-
-class WorkspaceRoutingTwinInvariant(_RoutingMixin, Invariant):
-    """Workspace-buffer SABRE scoring must match the allocating path.
-
-    The zero-copy scoring transport (``use_workspace=True``: masked
-    ``copyto`` substitution, flat-index gathers and ``out=`` reductions
-    into preallocated buffers) is pure plumbing — same arithmetic, same
-    RNG draws — so the routed circuit must be bit-for-bit identical to
-    the reference implementation's.
-    """
-
-    name = "workspace_routing_twin"
-
-    def check(self, sample: FuzzSample) -> Optional[str]:
-        circuit, layout = self._prepare(sample)
-        reference = self.router_factory(_route_seed(sample), True)
-        if not hasattr(reference, "workspace_twin"):
-            raise SkipInvariant("router has no workspace path")
-        workspace = reference.workspace_twin()
-        if not getattr(workspace, "use_workspace", False):
-            # Factory already produced a workspace router; flip back so
-            # the pair is (workspace on, workspace off) either way.
-            reference, workspace = workspace, reference
-        fast = workspace.route(circuit, sample.device, layout)
-        slow = reference.route(circuit, sample.device, layout)
-        if fast.swap_count != slow.swap_count:
-            return (
-                f"swap counts diverge: workspace={fast.swap_count} "
-                f"reference={slow.swap_count}"
-            )
-        if fast.circuit != slow.circuit:
-            return "routed circuits diverge between scoring transports"
-        if fast.final_layout != slow.final_layout:
-            return "final layouts diverge between scoring transports"
-        return None
-
-
-class WorkspaceSimTwinInvariant(Invariant):
-    """Workspace-buffer batched simulation must match the allocating path.
-
-    ``run_batched(..., workspace=Workspace())`` ping-pongs two
-    preallocated buffers through ``np.dot(..., out=)`` — the contiguous
-    operands are bitwise equal to the ones ``np.tensordot`` builds
-    internally, so final state batches must agree bit for bit, not just
-    within tolerance.
-    """
-
-    name = "workspace_sim_twin"
-
-    #: Dense batched simulation is cheap only for narrow circuits.
-    max_qubits = 12
-
-    def check(self, sample: FuzzSample) -> Optional[str]:
-        import numpy as np
-
-        from ..sim.statevector import (
-            Workspace,
-            random_product_states,
-            run_batched,
-        )
-
-        circuit = sample.circuit
-        if circuit.num_qubits > self.max_qubits:
-            raise SkipInvariant("circuit too wide for the dense twin")
-        if circuit.num_qubits == 0:
-            raise SkipInvariant("empty register")
-        states = random_product_states(
-            circuit.num_qubits, 2, sample.seed.rng(salt=2)
-        )
-        try:
-            reference = run_batched(circuit, states)
-            buffered = run_batched(circuit, states, workspace=Workspace())
-        except ValueError as exc:  # measure/reset cannot be batched
-            raise SkipInvariant(str(exc)) from None
-        if (
-            np.ascontiguousarray(reference).tobytes()
-            != np.ascontiguousarray(buffered).tobytes()
-        ):
-            delta = float(np.max(np.abs(reference - buffered)))
-            return (
-                "workspace simulation diverges from the reference path "
-                f"(max |delta|={delta!r})"
-            )
         return None
 
 
@@ -412,87 +325,6 @@ class QasmRoundTripInvariant(Invariant):
         return None
 
 
-class _PinnedTableRouter(NoiseAwareRouter):
-    """Noise-aware router forced onto one explicit distance table.
-
-    Bypasses the memoised cache entirely so a differential check can
-    route the *same* circuit against two independently produced tables
-    (incrementally migrated vs wholesale rebuilt) and compare outcomes.
-    """
-
-    def __init__(self, table, seed: Optional[int] = None) -> None:
-        super().__init__(seed=seed)
-        if table.flags.writeable:
-            table = table.copy()
-            table.setflags(write=False)
-        self._table = table
-
-    def _distance_matrix(self, device):
-        return self._table
-
-    def _build_distance_matrix(self, device):
-        return self._table
-
-
-class DriftReplayTwinInvariant(_RoutingMixin, Invariant):
-    """Incremental drift invalidation vs wholesale rebuild, bit for bit.
-
-    Replays a seeded :class:`~repro.hardware.drift.DriftPlan` against
-    the sample's device: after every update the incrementally migrated
-    noise distance table (only rows reachable through changed edges
-    recomputed) must be **byte-identical** to a from-scratch rebuild,
-    and routing the sample circuit against either table must emit the
-    same routed circuit.  One divergent float anywhere — a row the
-    flagging logic failed to invalidate — fails the sample.
-    """
-
-    name = "drift_replay_twin"
-
-    #: Updates replayed per sample; across a 200-sample block every
-    #: topology class sees dozens of distinct seeded traces.
-    num_updates = 2
-
-    def check(self, sample: FuzzSample) -> Optional[str]:
-        circuit, layout = self._prepare(sample)
-        device = sample.device
-        seed = _route_seed(sample)
-        plan = DriftPlan.generate(
-            device, num_updates=self.num_updates, seed=seed
-        )
-        stream = CalibrationStream(device.calibration)
-        router = NoiseAwareRouter(seed=seed)
-        incremental = router._build_distance_matrix(device)
-        wholesale = incremental
-        current = device
-        for step, delta in enumerate(plan.updates):
-            diff = stream.apply(delta)
-            drifted = replace(current, calibration=stream.calibration)
-            incremental, _, _ = router.refresh_distance_matrix(
-                current, drifted, incremental, diff.changed_edges
-            )
-            wholesale = router._build_distance_matrix(drifted)
-            if incremental.tobytes() != wholesale.tobytes():
-                bad = int((incremental != wholesale).sum())
-                return (
-                    f"distance tables diverge after update "
-                    f"{step + 1}/{len(plan)}: {bad} entries differ"
-                )
-            current = drifted
-        fast = _PinnedTableRouter(incremental, seed=seed).route(
-            circuit, current, layout.copy()
-        )
-        slow = _PinnedTableRouter(wholesale, seed=seed).route(
-            circuit, current, layout.copy()
-        )
-        if [(g.name, g.qubits) for g in fast.circuit] != [
-            (g.name, g.qubits) for g in slow.circuit
-        ]:
-            return "routed circuits diverge between drift-refreshed tables"
-        if fast.final_layout != slow.final_layout:
-            return "final layouts diverge between drift-refreshed tables"
-        return None
-
-
 # ---------------------------------------------------------------------------
 # Suite-level differential invariant (runs once per fuzz run)
 # ---------------------------------------------------------------------------
@@ -536,16 +368,13 @@ def default_bank(
     """The full per-sample invariant bank, in evaluation order."""
     return [
         SabreTwinInvariant(router_factory),
-        WorkspaceRoutingTwinInvariant(router_factory),
         RoutedCouplingInvariant(router_factory),
         OracleTwinInvariant(router_factory),
         MetricsTwinInvariant(),
-        WorkspaceSimTwinInvariant(),
         MappingSemanticsInvariant(router_factory),
         RelabelMetricsInvariant(),
         CommutationFidelityInvariant(),
         QasmRoundTripInvariant(),
-        DriftReplayTwinInvariant(router_factory),
     ]
 
 

@@ -16,18 +16,13 @@ module is the streaming side of that story:
   sequence, so a drift scenario replays identically in one process, in
   every warm worker, and in the fuzz harness.
 
-Consumers use the diff to invalidate derived state *incrementally*:
-:func:`repro.compiler.routing.refresh_distance_caches` migrates the
-memoised noise-distance tables by recomputing only the rows reachable
-through changed edges (the wholesale rebuild stays available as its
-differential twin), and the service pins each in-flight job to the
-epoch it was admitted under (see docs/calibration.md).
+The memoised noise-distance tables key on the calibration version, so
+each epoch's table is rebuilt wholesale under its own key, and the
+service pins each in-flight job to the epoch it was admitted under (see
+docs/calibration.md).
 
 Telemetry: ``calibration_epoch`` (gauge, labelled by stream name)
 tracks the live epoch; ``drift_updates_total`` counts applied deltas.
-The invalidation counters (``drift_invalidations_total``,
-``drift_rows_recomputed_total``) live with the cache refresh logic in
-:mod:`repro.compiler.routing`.
 """
 
 from __future__ import annotations

@@ -7,19 +7,11 @@ drivers:
 
 * :mod:`repro.runtime.parallel` — a generic deterministic process pool
   (ordered results, per-item timing and error capture, graceful serial
-  fallback when a worker dies), with opt-in fused task batching and a
-  zero-copy shared-memory payload transport.
-* :mod:`repro.runtime.batching` — deterministic, size-aware packing of
-  payloads into fused pool tasks.
-* :mod:`repro.runtime.shm` — the shared-memory segment registry
-  (publish/attach/refcount/unlink with crash-safe cleanup) behind the
-  zero-copy transport here and in ``repro.service``.
+  fallback when a worker dies).
 * :mod:`repro.runtime.suite_runner` — the mapping-suite runner built on
   it, producing :class:`~repro.runtime.suite_runner.SuiteRunReport`.
 """
 
-from . import shm
-from .batching import pack_batches
 from .parallel import ItemOutcome, ParallelResult, parallel_map, workers_from_env
 from .suite_runner import (
     CircuitFailure,
@@ -34,8 +26,6 @@ __all__ = [
     "ParallelResult",
     "parallel_map",
     "workers_from_env",
-    "pack_batches",
-    "shm",
     "CircuitFailure",
     "CircuitResilience",
     "CircuitTiming",

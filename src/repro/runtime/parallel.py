@@ -2,8 +2,7 @@
 
 :func:`parallel_map` fans a pure function out over a payload list with
 multiprocessing and returns one :class:`ItemOutcome` per payload **in
-submission order**, regardless of completion order, worker count, batch
-size or transport (by-value vs shared memory).
+submission order**, regardless of completion order or worker count.
 
 Determinism contract
 --------------------
@@ -11,50 +10,25 @@ Each payload is pickled once at submission time, so every task sees a
 pristine copy of its inputs — mutable state (e.g. a mapper's RNG) cannot
 leak between tasks.  The ``workers=1`` path runs in-process but routes
 every payload through the same pickle round-trip, which is what makes
-single-worker and multi-worker runs byte-identical.  Callers whose
-payloads are immutable (or which never mutate them) can opt out of the
-inline round-trip with ``clone=False``: the worker then sees the
-caller's *live* objects, which skips the pickle entirely but puts the
-isolation burden on the caller — if ``fn`` mutates its payload, or the
-payload holds stateful objects (RNGs, caches) shared across items,
-``clone=False`` runs may diverge from pooled runs.  The flag never
-affects pooled execution, where process boundaries already force the
-pickle.
-
-Fused batching and zero-copy dispatch
--------------------------------------
-``batch_size > 1`` packs contiguous runs of payloads into fused pool
-tasks (``repro.runtime.batching``) to amortise per-task dispatch
-overhead; results are flattened back to per-item outcomes in submission
-order, so journals and callbacks are byte-identical at any batch size.
-``zero_copy=True`` additionally publishes the pickled payloads into one
-``multiprocessing.shared_memory`` segment (``repro.runtime.shm``) and
-ships only (segment, offset, length) descriptors per item — the payload
-bytes cross the process boundary zero times through the pipe.  Both
-knobs preserve the pickled-once contract exactly: every item is still
-one independent ``pickle.dumps``/``loads`` round trip, merely routed
-through a different transport.
+single-worker and multi-worker runs byte-identical.
 
 Failure handling
 ----------------
 * An exception raised by ``fn`` is captured in the item's outcome
   (``error`` + traceback string); other items are unaffected.
 * A *dying* worker (SIGKILL, hard crash) breaks the pool; every item
-  whose result was lost is recomputed serially in the parent process,
-  so the call still returns a complete, correctly ordered result list —
-  ``ParallelResult.fell_back`` records that it happened, and each
-  recomputed item's :attr:`ItemOutcome.attempts` counts the lost pool
-  attempt.  The parent recomputes from its own pickled copies, so the
-  fallback works even after the shared segment's publisher-side data
-  would have been lost with the workers.
+  whose result was lost is recomputed serially in the parent process
+  from its own pickled copy, so the call still returns a complete,
+  correctly ordered result list — ``ParallelResult.fell_back`` records
+  that it happened, and each recomputed item's
+  :attr:`ItemOutcome.attempts` counts the lost pool attempt.
 * An *unresponsive* worker (stuck past ``item_timeout_s`` without
   completing its task) is hard-killed along with the rest of the pool
   and the outstanding items are recomputed serially — the backstop for
   code that never reaches a cooperative deadline checkpoint.  The
   recompute runs ``fn`` in the parent, so callers using the timeout
   should hand in an ``fn`` that bounds its own work (the suite runner's
-  resilient payload does, via its cooperative deadlines).  With fused
-  batching the bound applies per *task*, i.e. per batch.
+  resilient payload does, via its cooperative deadlines).
 """
 
 from __future__ import annotations
@@ -72,8 +46,6 @@ from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
 from ..telemetry import metrics as telemetry_metrics
 from ..telemetry import tracing
-from . import shm
-from .batching import pack_batches
 
 __all__ = ["ItemOutcome", "ParallelResult", "parallel_map", "workers_from_env"]
 
@@ -82,9 +54,6 @@ WORKERS_ENV_VAR = "REPRO_WORKERS"
 
 #: ``(source, value)`` pairs already warned about (one warning each).
 _WARNED_VALUES: Set[Tuple[str, str]] = set()
-
-#: Histogram buckets for dispatched batch sizes (items per fused task).
-BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 def workers_from_env(default: Optional[int] = None) -> Optional[int]:
@@ -175,22 +144,15 @@ class ParallelResult:
     unresponsive worker) and that were recomputed serially in the
     parent; ``total_attempts`` sums every per-item attempt, so
     ``total_attempts - len(outcomes)`` is the run's extra work.
-    ``serialized_bytes`` is the total pickled payload size (what a
-    by-value dispatch ships through the pool pipe); ``shipped_bytes``
-    is what this run actually embedded in pool submissions — equal to
-    ``serialized_bytes`` on the by-value path, but only the descriptor
-    bytes on the zero-copy path.  ``batches`` counts dispatched fused
-    tasks (0 on the inline path).
+    ``shipped_bytes`` is the total pickled payload size submitted
+    through the pool pipe (0 on the inline path, which ships nothing).
     """
 
     outcomes: List[ItemOutcome] = field(default_factory=list)
     workers: int = 1
     fell_back: bool = False
     recomputed: int = 0
-    batches: int = 0
-    serialized_bytes: int = 0
     shipped_bytes: int = 0
-    zero_copy: bool = False
 
     @property
     def total_attempts(self) -> int:
@@ -232,35 +194,6 @@ def _run_item_blob(
     return _run_item(fn, index, pickle.loads(blob), attempts=attempts)
 
 
-def _run_batch_blobs(
-    fn: Callable[[Any], Any], items: Sequence[Tuple[int, bytes]]
-) -> List[ItemOutcome]:
-    """Fused task: run every (index, blob) item; by-value transport."""
-    return [_run_item_blob(fn, index, blob) for index, blob in items]
-
-
-def _run_batch_shm(
-    fn: Callable[[Any], Any],
-    segment: str,
-    items: Sequence[Tuple[int, int, int]],
-) -> List[ItemOutcome]:
-    """Fused task: run every (index, offset, length) item read out of
-    one shared segment.  The segment is attached once per worker
-    process (``repro.runtime.shm`` caches the mapping), so a task costs
-    one memcpy + unpickle per item, not a pipe transfer.
-    """
-    outcomes = []
-    for index, offset, length in items:
-        blob = shm.read_bytes(shm.SegmentRef(segment, offset, length))
-        outcomes.append(_run_item_blob(fn, index, blob))
-    return outcomes
-
-
-def _clone(payload: Any) -> Any:
-    """Pickle round-trip, mirroring what pool submission does to payloads."""
-    return pickle.loads(pickle.dumps(payload))
-
-
 def parallel_map(
     fn: Callable[[Any], Any],
     payloads: Sequence[Any],
@@ -268,10 +201,6 @@ def parallel_map(
     progress: Optional[Callable[[int, int], None]] = None,
     on_result: Optional[Callable[[ItemOutcome], None]] = None,
     item_timeout_s: Optional[float] = None,
-    clone: bool = True,
-    batch_size: int = 1,
-    max_batch_bytes: Optional[int] = None,
-    zero_copy: bool = False,
 ) -> ParallelResult:
     """Run ``fn`` over ``payloads`` across processes; ordered outcomes.
 
@@ -280,8 +209,7 @@ def parallel_map(
     fn:
         Module-level callable (it is sent to workers by reference).
     payloads:
-        Task inputs; each must be picklable (except on the inline
-        ``clone=False`` path, which never pickles them).
+        Task inputs; each must be picklable.
     workers:
         Process count; ``None`` uses ``os.cpu_count()``, values are
         clamped to ``[1, len(payloads)]``.  ``workers=1`` runs inline
@@ -298,33 +226,9 @@ def parallel_map(
         Hard per-task wait bound.  When a pooled task takes longer than
         this to deliver its result, every pool process is killed and the
         outstanding items are recomputed serially in the parent (see the
-        module docstring's failure-handling notes).  With fused batching
-        a task is a whole batch, so size the bound accordingly.  ``None``
-        disables the bound; ignored on the inline ``workers=1`` path,
-        where cooperative deadlines inside ``fn`` are the only brake.
-    clone:
-        Inline-path isolation switch.  The default (``True``) pickles
-        each payload through the same round-trip pooled dispatch does,
-        keeping ``workers=1`` byte-identical to ``workers=N``.
-        ``clone=False`` skips that round-trip and hands ``fn`` the
-        caller's live payload objects — an opt-in for immutable
-        payloads where the pickle is pure overhead.  See the module
-        docstring for the exact determinism contract; pooled runs
-        ignore the flag.
-    batch_size:
-        Items fused per pool task (default 1: one task per payload).
-        Packing is contiguous and deterministic, so results are
-        byte-identical at any value; see ``repro.runtime.batching``.
-    max_batch_bytes:
-        Optional byte budget per fused task; a batch closes early
-        rather than exceed it (single oversized payloads still ship).
-    zero_copy:
-        Publish pickled payloads into one shared-memory segment and
-        ship (segment, offset, length) descriptors instead of payload
-        bytes.  Falls back silently to by-value dispatch when shared
-        memory is unavailable; a no-op on the inline path.  The segment
-        is released when the call returns — crash-safe cleanup is
-        handled by ``repro.runtime.shm``.
+        module docstring's failure-handling notes).  ``None`` disables
+        the bound; ignored on the inline ``workers=1`` path, where
+        cooperative deadlines inside ``fn`` are the only brake.
     """
     payloads = list(payloads)
     total = len(payloads)
@@ -351,90 +255,55 @@ def parallel_map(
         outcomes = []
         serialized_bytes = 0
         for index, payload in enumerate(payloads):
-            if clone:
-                blob = pickle.dumps(payload)
-                serialized_bytes += len(blob)
-                if telemetry_on:
-                    telemetry_metrics.histogram(
-                        "payload_bytes",
-                        buckets=telemetry_metrics.BYTE_BUCKETS,
-                        path="parallel_map",
-                    ).observe(len(blob))
-                payload = pickle.loads(blob)
-            outcome = _run_item(fn, index, payload)
+            blob = pickle.dumps(payload)
+            serialized_bytes += len(blob)
+            if telemetry_on:
+                telemetry_metrics.histogram(
+                    "payload_bytes",
+                    buckets=telemetry_metrics.BYTE_BUCKETS,
+                    path="parallel_map",
+                ).observe(len(blob))
+            outcome = _run_item_blob(fn, index, blob)
             outcomes.append(outcome)
             _finish(outcome)
         if telemetry_on and serialized_bytes:
             telemetry_metrics.counter(
                 "serialized_bytes_total", path="parallel_map"
             ).inc(serialized_bytes)
-        return ParallelResult(
-            outcomes,
-            workers=1,
-            fell_back=False,
-            serialized_bytes=serialized_bytes,
-            shipped_bytes=0,
-        )
+        return ParallelResult(outcomes, workers=1)
 
     # Pooled dispatch: pickle every payload exactly once, up front and
     # in submission order — this is the serialization the determinism
-    # contract pins, independent of transport and batching below.
+    # contract pins, and the parent's copy the recompute path reuses.
     serialize_start = time.perf_counter()
     blobs = [pickle.dumps(payload) for payload in payloads]
     serialize_elapsed = time.perf_counter() - serialize_start
-    sizes = [len(blob) for blob in blobs]
-    serialized_bytes = sum(sizes)
+    shipped_bytes = sum(len(blob) for blob in blobs)
     if telemetry_on:
         payload_hist = telemetry_metrics.histogram(
             "payload_bytes",
             buckets=telemetry_metrics.BYTE_BUCKETS,
             path="parallel_map",
         )
-        for size in sizes:
-            payload_hist.observe(size)
+        for blob in blobs:
+            payload_hist.observe(len(blob))
         telemetry_metrics.counter(
             "serialized_bytes_total", path="parallel_map"
-        ).inc(serialized_bytes)
+        ).inc(shipped_bytes)
         telemetry_metrics.counter(
             "serialization_seconds_total", path="parallel_map", stage="pickle"
         ).inc(serialize_elapsed)
 
-    batches = pack_batches(sizes, batch_size, max_batch_bytes)
-    use_shm = zero_copy and shm.is_available()
-    segment_name: Optional[str] = None
-    refs: List[shm.SegmentRef] = []
-    if use_shm:
-        try:
-            segment_name, refs = shm.publish_bytes(blobs)
-        except shm.ShmUnavailable:  # pragma: no cover - exotic platform
-            use_shm = False
-
     collected: List[Optional[ItemOutcome]] = [None] * total
-    shipped_bytes = 0
     try:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for group in batches:
-                if use_shm:
-                    items = [
-                        (index, refs[index].offset, refs[index].length)
-                        for index in group
-                    ]
-                    shipped_bytes += len(pickle.dumps((segment_name, items)))
-                    futures.append(
-                        pool.submit(_run_batch_shm, fn, segment_name, items)
-                    )
-                else:
-                    items = [(index, blobs[index]) for index in group]
-                    shipped_bytes += sum(sizes[index] for index in group)
-                    futures.append(pool.submit(_run_batch_blobs, fn, items))
-                if telemetry_on:
-                    telemetry_metrics.histogram(
-                        "batch_size", buckets=BATCH_SIZE_BUCKETS
-                    ).observe(len(group))
-            for group, future in zip(batches, futures):
+            futures = [
+                pool.submit(_run_item_blob, fn, index, blob)
+                for index, blob in enumerate(blobs)
+            ]
+            for future in futures:
                 try:
-                    batch_outcomes = future.result(timeout=item_timeout_s)
+                    outcome = future.result(timeout=item_timeout_s)
                 except FuturesTimeoutError:
                     # An unresponsive worker: hard-kill the whole pool
                     # (there is no per-task kill in ProcessPoolExecutor)
@@ -448,18 +317,10 @@ def parallel_map(
                     # A worker died; later futures are lost too.  Stop
                     # draining and recompute the holes below.
                     break
-                except shm.ShmUnavailable:  # pragma: no cover - defensive
-                    # The segment vanished under the workers (publisher
-                    # crash recovery); recompute from the local blobs.
-                    break
-                for outcome in batch_outcomes:
-                    collected[outcome.index] = outcome
-                    _finish(outcome)
+                collected[outcome.index] = outcome
+                _finish(outcome)
     except BrokenProcessPool:  # pragma: no cover - raised at pool shutdown
         pass
-    finally:
-        if segment_name is not None:
-            shm.release(segment_name)
 
     fell_back = False
     recomputed = 0
@@ -467,9 +328,7 @@ def parallel_map(
         if outcome is None:
             # Serial fallback in the parent: same pickling semantics, so
             # recovered items match what the worker would have returned.
-            # The parent recomputes from its own pickled blobs — losing
-            # the workers (and with them the shared segment's consumers)
-            # never loses data.  attempts=2 counts the lost pool attempt.
+            # attempts=2 counts the lost pool attempt.
             fell_back = True
             recomputed += 1
             outcome = _run_item_blob(fn, index, blobs[index], attempts=2)
@@ -480,8 +339,5 @@ def parallel_map(
         workers=workers,
         fell_back=fell_back,
         recomputed=recomputed,
-        batches=len(batches),
-        serialized_bytes=serialized_bytes,
         shipped_bytes=shipped_bytes,
-        zero_copy=use_shm,
     )

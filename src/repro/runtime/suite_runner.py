@@ -229,11 +229,9 @@ class SuiteRunReport:
         The journal file the run appended to, when journaling.
     wall_time_s:
         End-to-end wall time of the run (monotonic clock).
-    batches / serialized_bytes / shipped_bytes / zero_copy:
-        Dispatch accounting from :class:`ParallelResult`: fused tasks
-        dispatched, total pickled payload bytes, bytes actually
-        embedded in pool submissions, and whether the shared-memory
-        transport was used (see ``docs/performance.md``).
+    shipped_bytes:
+        Pickled payload bytes submitted through the pool pipe, from
+        :class:`ParallelResult` (0 on the inline path).
     """
 
     records: List = field(default_factory=list)
@@ -247,10 +245,7 @@ class SuiteRunReport:
     resumed: int = 0
     journal_path: Optional[str] = None
     wall_time_s: float = 0.0
-    batches: int = 0
-    serialized_bytes: int = 0
     shipped_bytes: int = 0
-    zero_copy: bool = False
 
     @property
     def total_circuit_time_s(self) -> float:
@@ -427,16 +422,14 @@ def run_suite_parallel(
     journal: Optional[Union[str, "os.PathLike[str]"]] = None,
     resume: bool = False,
     item_timeout_s: Optional[float] = None,
-    batch_size: int = 1,
-    max_batch_bytes: Optional[int] = None,
-    zero_copy: bool = False,
 ) -> SuiteRunReport:
     """Map a benchmark suite with a worker pool; see :class:`SuiteRunReport`.
 
     Mirrors :func:`repro.experiments.common.run_suite` semantics
     (benchmarks wider than the device are skipped; ``progress`` receives
-    ``(index, total, name)``), adding process fan-out, per-circuit
-    timing, and per-circuit failure capture.  When ``workers`` is
+    ``(index, total, name)`` once per finished circuit, with the index
+    and total the serial loop reports), adding process fan-out,
+    per-circuit timing, and per-circuit failure capture.  When ``workers`` is
     ``None`` the ``REPRO_WORKERS`` environment variable is consulted
     first (falling back to the CPU count), so one environment setting
     configures every fan-out in a run.
@@ -470,12 +463,6 @@ def run_suite_parallel(
         backstop that kills an *unresponsive* worker (one that never
         reaches a cooperative deadline checkpoint) and recomputes its
         items in the parent.
-    batch_size / max_batch_bytes / zero_copy:
-        Dispatch knobs forwarded to :func:`parallel_map` (fused task
-        batching and the shared-memory payload plane; see
-        ``docs/performance.md``).  Pure transport: records, journals
-        and telemetry stay byte-identical at any setting, which
-        ``make zerocopy-smoke`` asserts.
     """
     from ..experiments.common import paper_configuration
     from ..compiler.mapper import trivial_mapper
@@ -495,12 +482,15 @@ def run_suite_parallel(
         raise ValueError("resume=True requires a journal path")
     start = now()
     kept: List[BenchmarkCircuit] = []
+    # Input position of each kept benchmark (progress reports it).
+    positions: List[int] = []
     skipped: List[str] = []
-    for benchmark in benchmarks:
+    for position, benchmark in enumerate(benchmarks):
         if benchmark.circuit.num_qubits > device.num_qubits:
             skipped.append(benchmark.source)
         else:
             kept.append(benchmark)
+            positions.append(position)
 
     config: Optional[ResilienceConfig] = None
     if resilience_active:
@@ -550,7 +540,6 @@ def run_suite_parallel(
         for index, benchmark in enumerate(kept)
         if index not in completed
     ]
-    pending_names = [benchmark.source for _, benchmark in pending]
 
     traced = tracing.is_enabled()
     worker_dir: Optional[str] = None
@@ -562,12 +551,9 @@ def run_suite_parallel(
             return None
         return {"index": index, "dir": worker_dir}
 
-    def _progress(done: int, total: int) -> None:
-        if progress is not None and done < total:
-            progress(done, total, pending_names[done])
-
     def _on_result(outcome: ItemOutcome) -> None:
-        """Journal one finished circuit, then apply parent-side faults.
+        """Journal one finished circuit, apply parent-side faults, then
+        report progress.
 
         Runs in the parent, in submission order, as soon as the item's
         outcome is final — completed work is durable *before* the batch
@@ -603,6 +589,8 @@ def run_suite_parallel(
             journal_writer.append(entry)
         if faults is not None:
             faults.fire_parent(kept_index, journal_writer)
+        if progress is not None:
+            progress(positions[kept_index], len(benchmarks), benchmark.source)
 
     worker_fn = _map_payload_resilient if resilience_active else _map_payload
     payloads: List[Any] = []
@@ -632,21 +620,14 @@ def run_suite_parallel(
             worker_fn,
             payloads,
             workers=workers,
-            progress=_progress if progress is not None else None,
-            on_result=_on_result if resilience_active else None,
+            on_result=_on_result,
             item_timeout_s=item_timeout_s,
-            batch_size=batch_size,
-            max_batch_bytes=max_batch_bytes,
-            zero_copy=zero_copy,
         )
         root.set("workers", result.workers)
         report.workers = result.workers
         report.fell_back = result.fell_back
         report.recomputed = result.recomputed
-        report.batches = result.batches
-        report.serialized_bytes = result.serialized_bytes
         report.shipped_bytes = result.shipped_bytes
-        report.zero_copy = result.zero_copy
         root_id = getattr(root, "span_id", None)
         outcome_by_kept = {
             pending[outcome.index][0]: outcome

@@ -39,13 +39,7 @@ from .service import (
     ServiceClient,
     install_drain_handlers,
 )
-from .workers import (
-    WarmWorkerPool,
-    attach_prewarm_tables,
-    compute_payload,
-    prewarm,
-    publish_prewarm_tables,
-)
+from .workers import WarmWorkerPool, compute_payload, prewarm
 
 __all__ = [
     "AdmissionError",
@@ -68,11 +62,9 @@ __all__ = [
     "ServiceDraining",
     "ServiceError",
     "WarmWorkerPool",
-    "attach_prewarm_tables",
     "calibration_version",
     "compute_payload",
     "install_drain_handlers",
     "prewarm",
-    "publish_prewarm_tables",
     "result_key",
 ]

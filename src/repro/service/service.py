@@ -42,7 +42,6 @@ a JSONL file a later process can resubmit from, and then stops —
 from __future__ import annotations
 
 import json
-import pickle
 import queue as stdlib_queue
 import threading
 import time
@@ -51,11 +50,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from ..circuit import Circuit, to_qasm
-from ..compiler.routing import NoiseAwareRouter, refresh_distance_caches
+from ..compiler.routing import NoiseAwareRouter
 from ..hardware import resolve_device
 from ..hardware.device import Device
 from ..hardware.drift import CalibrationDelta, CalibrationStream, DriftDiff
-from ..runtime import shm
 from ..telemetry import metrics as telemetry_metrics
 from ..telemetry import tracing
 from .cache import ResultCache, ResultKey, calibration_version, result_key
@@ -67,12 +65,7 @@ from .jobs import (
     ServiceError,
 )
 from .queue import JobQueue
-from .workers import (
-    WarmWorkerPool,
-    compute_payload,
-    prewarm,
-    publish_prewarm_tables,
-)
+from .workers import WarmWorkerPool, compute_payload, prewarm
 
 __all__ = ["CompilationService", "DrainReport", "ServiceClient"]
 
@@ -114,7 +107,6 @@ class CompilationService:
         class_limits: Optional[Dict[str, int]] = None,
         max_queue_depth: Optional[int] = None,
         start_timeout_s: float = 60.0,
-        zero_copy: bool = False,
         heartbeat_budget_s: Optional[float] = 30.0,
         max_job_attempts: int = 3,
         recovery_backlog: int = 128,
@@ -124,12 +116,6 @@ class CompilationService:
         if max_job_attempts < 1:
             raise ValueError("max_job_attempts must be >= 1")
         self.workers = workers
-        #: Opt-in shared-memory prewarm: the parent publishes each
-        #: device's distance/incident tables once and workers attach
-        #: read-only views instead of rebuilding them per process (see
-        #: docs/performance.md).  Ignored when ``workers == 0`` or the
-        #: platform lacks shared memory.
-        self.zero_copy = zero_copy
         self.device_specs = tuple(devices)
         self.cache = ResultCache(cache_capacity)
         self.queue = JobQueue(class_limits=class_limits, max_depth=max_queue_depth)
@@ -140,7 +126,6 @@ class CompilationService:
         self._running = False
         self._threads: List[threading.Thread] = []
         self._pool: Optional[WarmWorkerPool] = None
-        self._shm_segments: List[str] = []
         self._idle: "stdlib_queue.Queue[int]" = stdlib_queue.Queue()
         # One lock guards all dispatch bookkeeping: in-flight jobs by
         # sequence number, worker -> job assignment, and the coalescing
@@ -174,7 +159,6 @@ class CompilationService:
         self._draining = False
         self.drift_updates_total = 0
         self.drift_rows_recomputed_total = 0
-        self.drift_tables_refreshed_total = 0
         self.drift_wholesale_rebuilds_total = 0
         self.requests_total = 0
         self.coalesced_total = 0
@@ -192,14 +176,6 @@ class CompilationService:
             self._device(spec)
         self._running = True
         if self.workers > 0:
-            shm_tables = None
-            if self.zero_copy and shm.is_available():
-                # Build the derived tables once here and publish them;
-                # every worker attaches instead of recomputing.  The
-                # segment names are kept so stop() can release them.
-                shm_tables, self._shm_segments = publish_prewarm_tables(
-                    self._devices
-                )
             # Idle workers must beat at least a few times per budget or
             # an idle-but-hung worker would only be caught one full tick
             # late.
@@ -209,7 +185,6 @@ class CompilationService:
             self._pool = WarmWorkerPool(
                 self.workers,
                 self.device_specs,
-                shm_tables=shm_tables,
                 idle_tick_s=idle_tick_s,
             )
             self._pool.start()
@@ -261,11 +236,6 @@ class CompilationService:
         if self._pool is not None:
             self._pool.stop()
             self._pool = None
-        # Unlink the published prewarm segments.  Workers that are
-        # still unwinding keep their existing mappings (POSIX unlink
-        # only removes the name), so ordering is not delicate here.
-        shm.release_many(self._shm_segments)
-        self._shm_segments = []
         # Anything still unresolved loses its service; say so.
         with self._state_lock:
             leftovers = list(self._inflight.values())
@@ -366,14 +336,14 @@ class CompilationService:
         """Apply one streaming calibration update to a served device.
 
         Under the drift lock (so no admission can interleave): bumps the
-        device's stream epoch, swaps in the drifted device, migrates the
-        parent's cached noise distance table incrementally (only rows
-        reachable through changed edges recompute — see
-        :func:`repro.compiler.routing.refresh_distance_caches`),
-        republishes the zero-copy prewarm tables when the pool attaches
-        them, and broadcasts the diff to every live worker.  Jobs
-        admitted before the call keep their pinned epoch-N device;
-        jobs admitted after compile at N+1 under a fresh cache key.
+        device's stream epoch and swaps in the drifted device.  An inline
+        service whose parent holds the old epoch's noise distance table
+        builds the new epoch's table now, so the next compute runs no
+        Dijkstra; a pooled service broadcasts the new calibration and
+        every live worker builds its own.  The old table stays cached
+        for jobs pinned to the previous epoch.  Jobs admitted before the
+        call keep their pinned epoch-N device; jobs admitted after
+        compile at N+1 under a fresh cache key.
         """
         if not self._running:
             raise ServiceError("service is not running")
@@ -383,68 +353,18 @@ class CompilationService:
             old_device = self._devices[device]
             diff = stream.apply(delta)
             new_device = replace(old_device, calibration=stream.calibration)
-            # Migrates the parent's cached noise table when present
-            # (prewarmed inline mode, zero-copy publish); a pool-mode
-            # parent that never built one just lets the next inline
-            # compute (crash recovery) build lazily under the new key.
-            refresh = refresh_distance_caches(old_device, new_device, diff)
             self._devices[device] = new_device
             self.drift_updates_total += 1
-            self.drift_tables_refreshed_total += refresh.tables_refreshed
-            self.drift_rows_recomputed_total += refresh.rows_recomputed
-            self.drift_wholesale_rebuilds_total += refresh.wholesale_rebuilds
-            refs = None
-            if (
-                self._pool is not None
-                and self._pool.shm_tables is not None
-                and device in self._pool.shm_tables
-                and shm.is_available()
-            ):
-                refs = self._republish_prewarm(device, new_device)
+            router = NoiseAwareRouter()
             if self._pool is not None:
-                self._pool.broadcast_drift(
-                    device, new_device.calibration, diff, refs
-                )
+                self._pool.broadcast_drift(device, new_device.calibration)
+            elif router._is_cached(old_device) and not router._is_cached(
+                new_device
+            ):
+                router._distance_matrix(new_device)
+                self.drift_wholesale_rebuilds_total += 1
+                self.drift_rows_recomputed_total += new_device.num_qubits
         return diff
-
-    def _republish_prewarm(self, spec: str, device: Device) -> dict:
-        """Publish fresh noise/calibration segments for a drifted spec.
-
-        The hop matrix and incident table depend only on the coupling
-        graph, so their segments are reused; the noise matrix and the
-        calibration blob are republished and the stale segments
-        unlinked.  Workers holding views of the old noise table keep
-        them (POSIX unlink removes the name, not live mappings) — those
-        views stay seeded under the *old* cache key, which epoch-pinned
-        jobs still legitimately resolve.  Workers respawned after this
-        point attach the new refs; if a respawn races the unlink it
-        falls back to a local rebuild.
-        """
-        assert self._pool is not None and self._pool.shm_tables is not None
-        old_refs = self._pool.shm_tables[spec]
-        noise = NoiseAwareRouter()._distance_matrix(device)
-        noise_ref = shm.publish_array(noise)
-        _, (calibration_ref,) = shm.publish_bytes(
-            [pickle.dumps(device.calibration, protocol=pickle.HIGHEST_PROTOCOL)]
-        )
-        refs = dict(old_refs)
-        refs["noise"] = noise_ref
-        refs["calibration"] = calibration_ref
-        self._shm_segments.extend(
-            (noise_ref.segment, calibration_ref.segment)
-        )
-        stale = [old_refs["noise"].segment]
-        old_calibration = old_refs.get("calibration")
-        if (
-            old_calibration is not None
-            and old_calibration.segment != old_refs["incident"].segment
-        ):
-            stale.append(old_calibration.segment)
-        shm.release_many(stale)
-        for name in stale:
-            if name in self._shm_segments:
-                self._shm_segments.remove(name)
-        return refs
 
     # -- graceful drain ------------------------------------------------
     def drain(
@@ -465,8 +385,7 @@ class CompilationService:
            line per job — enough to resubmit elsewhere) and fail those
            jobs with a :class:`ServiceDraining`-worded error naming the
            journal.
-        4. Stop: threads joined, pool escalation-stopped, shm segments
-           released.
+        4. Stop: threads joined, pool escalation-stopped.
 
         Safe to call from a signal handler's thread; idempotent-ish in
         that a second call on a stopped service raises ``ServiceError``.
@@ -879,27 +798,10 @@ class CompilationService:
         victim = worker_id if worker_id is not None else alive[0]
         return victim if self._pool.kill(victim) else None
 
-    def inject_shm_unlink(self) -> Optional[str]:
-        """Unlink one published shared-memory segment; returns its name.
-
-        Simulates losing a zero-copy prewarm segment out from under the
-        service (a crashed publisher, an over-eager cleaner).  Workers
-        respawned afterwards must fall back to local table rebuilds —
-        attach is an optimisation, never a correctness dependency — and
-        nothing may leak: the name is dropped from the release list so
-        shutdown accounting stays exact.
-        """
-        for name in list(self._shm_segments):
-            if shm.unlink(name):
-                self._shm_segments.remove(name)
-                return name
-        return None
-
     # -- introspection -------------------------------------------------
     def stats(self) -> dict:
         return {
             "workers": self.workers,
-            "zero_copy": bool(self.zero_copy and self.workers > 0),
             "dispatch_bytes": (
                 self._pool.dispatch_bytes_total if self._pool is not None else 0
             ),
@@ -924,7 +826,6 @@ class CompilationService:
                     for spec, stream in self._streams.items()
                 },
                 "updates": self.drift_updates_total,
-                "tables_refreshed": self.drift_tables_refreshed_total,
                 "rows_recomputed": self.drift_rows_recomputed_total,
                 "wholesale_rebuilds": self.drift_wholesale_rebuilds_total,
             },

@@ -37,16 +37,6 @@ the next worker's messages.
 Workers compile through the same :func:`compute_payload` the parent's
 inline path uses — one code path, so ``workers=0`` and ``workers=N``
 produce byte-identical payloads.
-
-Zero-copy prewarm (opt-in): with ``CompilationService(zero_copy=True)``
-the parent builds every device's derived tables once, publishes the
-hop/noise distance matrices and incident-edge tables into shared memory
-(:mod:`repro.runtime.shm`), and each worker *attaches* read-only views
-instead of re-running all-pairs shortest paths per process
-(:func:`publish_prewarm_tables` / :func:`attach_prewarm_tables`).  If a
-segment is gone by the time a worker starts, the worker silently falls
-back to building its own tables — attach is an optimisation, never a
-correctness dependency.
 """
 
 from __future__ import annotations
@@ -58,23 +48,15 @@ import pickle
 import queue as stdlib_queue
 import time
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..circuit.gates import Gate, gate_matrix
-from ..compiler.routing import (
-    NoiseAwareRouter,
-    SabreRouter,
-    _incident_edges,
-    refresh_distance_caches,
-    seed_distance_cache,
-    seed_incident_cache,
-)
+from ..compiler.routing import NoiseAwareRouter, SabreRouter, _incident_edges
 from ..experiments.common import _record
 from ..hardware import resolve_device
 from ..hardware.device import Device
 from ..resilience import FaultPlan, ResilienceConfig, map_with_resilience
 from ..resilience.policy import RetryPolicy
-from ..runtime import shm
 from ..telemetry import metrics as telemetry_metrics
 from ..telemetry import tracing
 from ..workloads.suite import BenchmarkCircuit
@@ -83,10 +65,8 @@ from .jobs import MAPPERS, CompileRequest, build_payload
 
 __all__ = [
     "WarmWorkerPool",
-    "attach_prewarm_tables",
     "compute_payload",
     "prewarm",
-    "publish_prewarm_tables",
 ]
 
 #: Parameter-free gates primed into the matrix LRU at worker start.
@@ -114,98 +94,6 @@ def prewarm(devices: Iterable[Device]) -> int:
         except (KeyError, ValueError):  # pragma: no cover - registry drift
             continue
     return warmed
-
-
-def publish_prewarm_tables(
-    devices: Dict[str, Device],
-) -> Tuple[Dict[str, Dict[str, shm.SegmentRef]], List[str]]:
-    """Parent side of the zero-copy prewarm.
-
-    Builds each device's hop and noise distance matrices plus its
-    incident-edge table (warming the parent's own caches as a side
-    effect) and publishes them into shared memory.  Returns the
-    per-device-spec descriptor map to hand to workers and the list of
-    segment names the caller must :func:`repro.runtime.shm.release`
-    at shutdown.
-    """
-    tables: Dict[str, Dict[str, shm.SegmentRef]] = {}
-    segments: List[str] = []
-    for spec, device in devices.items():
-        hop = SabreRouter()._distance_matrix(device)
-        noise = NoiseAwareRouter()._distance_matrix(device)
-        incident = _incident_edges(device.coupling)
-        hop_ref = shm.publish_array(hop)
-        noise_ref = shm.publish_array(noise)
-        _, (incident_ref, calibration_ref) = shm.publish_bytes(
-            [
-                pickle.dumps(incident, protocol=pickle.HIGHEST_PROTOCOL),
-                pickle.dumps(
-                    device.calibration, protocol=pickle.HIGHEST_PROTOCOL
-                ),
-            ]
-        )
-        tables[spec] = {
-            "hop": hop_ref,
-            "noise": noise_ref,
-            "incident": incident_ref,
-            # The calibration the noise table was built under.  A worker
-            # spawned *after* a drift resolves the registry's pristine
-            # device, so attach must rebind the published calibration
-            # before computing cache keys — otherwise the drifted table
-            # would be seeded under a stale key and never found.
-            "calibration": calibration_ref,
-        }
-        segments.extend(
-            (hop_ref.segment, noise_ref.segment, incident_ref.segment)
-        )
-    return tables, segments
-
-
-def attach_prewarm_tables(
-    devices: Dict[str, Device],
-    tables: Dict[str, Dict[str, shm.SegmentRef]],
-) -> int:
-    """Worker side of the zero-copy prewarm; returns devices seeded.
-
-    Attaches the published distance matrices as read-only views and
-    seeds this process's routing caches, so the subsequent
-    :func:`prewarm` call hits warm entries instead of re-running
-    all-pairs shortest paths.  A vanished segment (publisher crashed,
-    already unlinked, or republished under calibration drift) just
-    skips that device — :func:`prewarm` rebuilds the tables locally, so
-    no worker ever routes against a stale view.
-
-    When a ref set carries a ``"calibration"`` entry (the calibration
-    the published noise table was built under), the device in
-    ``devices`` is rebound to it *before* cache keys are computed — a
-    worker respawned after a drift therefore seeds the drifted table
-    under the drifted key instead of mis-filing it under the registry's
-    pristine calibration.
-    """
-    seeded = 0
-    for spec, refs in tables.items():
-        device = devices.get(spec)
-        if device is None:
-            continue
-        try:
-            calibration_ref = refs.get("calibration")
-            if calibration_ref is not None:
-                calibration = pickle.loads(shm.read_bytes(calibration_ref))
-                if calibration != device.calibration:
-                    device = replace(device, calibration=calibration)
-                    devices[spec] = device
-            hop = shm.attach_array(refs["hop"])
-            noise = shm.attach_array(refs["noise"])
-            incident = pickle.loads(shm.read_bytes(refs["incident"]))
-        except (shm.ShmUnavailable, ValueError, KeyError):
-            continue
-        seed_distance_cache(SabreRouter()._distance_cache_key(device), hop)
-        seed_distance_cache(
-            NoiseAwareRouter()._distance_cache_key(device), noise
-        )
-        seed_incident_cache(device.coupling, incident)
-        seeded += 1
-    return seeded
 
 
 def compute_payload(
@@ -243,40 +131,11 @@ def compute_payload(
     return build_payload(key, _record(benchmark, result), info)
 
 
-def _apply_worker_drift(devices, spec, calibration, diff, refs) -> None:
-    """Migrate one worker's state across a calibration drift.
-
-    Preference order: attach the parent's republished shm noise table
-    (zero-copy, zero compute); failing that, migrate the locally cached
-    table incrementally through :func:`refresh_distance_caches`; the
-    final ``_distance_matrix`` call is a memoised no-op when either
-    path landed and a wholesale local rebuild when neither did — a
-    worker therefore *never* keeps routing new-epoch jobs against a
-    stale view, only ever pays at most one rebuild.
-    """
-    base = devices.get(spec)
-    if base is None:
-        return
-    new_device = replace(base, calibration=calibration)
-    if refs is not None:
-        try:
-            noise = shm.attach_array(refs["noise"])
-            seed_distance_cache(
-                NoiseAwareRouter()._distance_cache_key(new_device), noise
-            )
-        except (shm.ShmUnavailable, ValueError, KeyError):
-            pass  # republished segment already gone; fall through
-    refresh_distance_caches(base, new_device, diff)
-    NoiseAwareRouter()._distance_matrix(new_device)
-    devices[spec] = new_device
-
-
 def _worker_main(
     worker_id,
     device_specs,
     tasks,
     results,
-    shm_tables=None,
     idle_tick_s=2.0,
     beat=None,
 ) -> None:
@@ -295,9 +154,10 @@ def _worker_main(
         never arrived — respawned workers see no history).
         ``attempt_base`` counts the job's prior worker-fatal dispatches
         (fault-plan offset; see :func:`compute_payload`).
-    ``("drift", spec, calibration, diff, refs)``
-        A calibration-stream update: rebind the device and migrate the
-        local distance caches (see :func:`_apply_worker_drift`).
+    ``("drift", spec, calibration)``
+        A calibration-stream update: rebind the device and build its
+        noise distance table now, so the next job at the new epoch finds
+        it warm (the old epoch's table stays cached for pinned jobs).
     ``None``
         Shutdown sentinel.
 
@@ -313,8 +173,6 @@ def _worker_main(
     the timestamp.
     """
     devices = {spec: resolve_device(spec) for spec in device_specs}
-    if shm_tables:
-        attach_prewarm_tables(devices, shm_tables)
     prewarm(devices.values())
     if beat is not None:
         beat.value = time.monotonic()
@@ -332,8 +190,10 @@ def _worker_main(
             break
         message = pickle.loads(task)
         if message[0] == "drift":
-            _, spec, calibration, diff, refs = message
-            _apply_worker_drift(devices, spec, calibration, diff, refs)
+            _, spec, calibration = message
+            if spec in devices:
+                devices[spec] = replace(devices[spec], calibration=calibration)
+                NoiseAwareRouter()._distance_matrix(devices[spec])
             continue
         _, job_seq, request, calibration, epoch, attempt_base = message
         try:
@@ -359,14 +219,12 @@ class WarmWorkerPool:
         self,
         num_workers: int,
         device_specs: Sequence[str],
-        shm_tables: Optional[Dict[str, Dict[str, shm.SegmentRef]]] = None,
         idle_tick_s: float = 2.0,
     ) -> None:
         if num_workers < 1:
             raise ValueError("WarmWorkerPool needs at least one worker")
         self.num_workers = num_workers
         self.device_specs = tuple(device_specs)
-        self.shm_tables = shm_tables
         #: How often an idle worker proves liveness; the service derives
         #: it from the heartbeat budget so an idle-but-hung worker is
         #: still caught within one budget.
@@ -412,7 +270,6 @@ class WarmWorkerPool:
                 self.device_specs,
                 task_queue,
                 send_conn,
-                self.shm_tables,
                 self.idle_tick_s,
                 beat,
             ),
@@ -565,25 +422,15 @@ class WarmWorkerPool:
             ).inc(time.perf_counter() - start)
         task_queue.put(blob)
 
-    def broadcast_drift(self, spec: str, calibration, diff, refs=None) -> int:
+    def broadcast_drift(self, spec: str, calibration) -> int:
         """Fan a calibration-drift notice out to every live worker.
 
-        ``refs`` is the republished shm ref set for ``spec`` (or
-        ``None`` when the pool runs by-value); it also replaces the
-        spec's entry in :attr:`shm_tables` so workers respawned *after*
-        the drift attach the fresh tables rather than the unlinked old
-        ones.  Returns the number of workers notified.  Per-worker
-        queues are FIFO, so a drift notice never overtakes a job
-        dispatched before it — and jobs carry their own pinned
-        calibration anyway.
+        Returns the number of workers notified.  Per-worker queues are
+        FIFO, so a drift notice never overtakes a job dispatched before
+        it — and jobs carry their own pinned calibration anyway.
         """
-        if refs is not None:
-            if self.shm_tables is None:
-                self.shm_tables = {}
-            self.shm_tables[spec] = refs
         blob = pickle.dumps(
-            ("drift", spec, calibration, diff, refs),
-            protocol=pickle.HIGHEST_PROTOCOL,
+            ("drift", spec, calibration), protocol=pickle.HIGHEST_PROTOCOL
         )
         notified = 0
         for worker_id, task_queue in self._tasks.items():

@@ -3,7 +3,6 @@
 from .statevector import (
     Simulator,
     SimulationResult,
-    Workspace,
     apply_gate,
     apply_gate_batched,
     basis_state,
@@ -37,7 +36,6 @@ from .density import (
 __all__ = [
     "Simulator",
     "SimulationResult",
-    "Workspace",
     "apply_gate",
     "apply_gate_batched",
     "basis_state",

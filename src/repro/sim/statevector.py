@@ -23,10 +23,8 @@ import numpy as np
 
 from ..circuit import Circuit
 from ..circuit.gates import Gate, gate_matrix
-from .workspace import Workspace
 
 __all__ = [
-    "Workspace",
     "zero_state",
     "basis_state",
     "random_product_state",
@@ -129,22 +127,9 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     return _apply_matrix(state, gate_matrix(gate), gate.qubits, 0)
 
 
-def apply_gate_batched(
-    states: np.ndarray, gate: Gate, workspace: Optional[Workspace] = None
-) -> np.ndarray:
-    """Apply one gate to a batch of states (batch axis first).
-
-    With a :class:`Workspace` the contraction reuses the workspace's
-    preallocated buffers (``np.dot`` with ``out=``) instead of
-    allocating fresh tensors; the result is bit-for-bit identical to
-    the default path and is always a fresh array, never a workspace
-    view.
-    """
-    if workspace is None:
-        return _apply_matrix(states, gate_matrix(gate), gate.qubits, 1)
-    return workspace.apply_operations(
-        np.asarray(states, dtype=complex), [(gate_matrix(gate), gate.qubits)]
-    )
+def apply_gate_batched(states: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply one gate to a batch of states (batch axis first)."""
+    return _apply_matrix(states, gate_matrix(gate), gate.qubits, 1)
 
 
 def fused_operations(circuit: Circuit) -> List[Tuple[np.ndarray, Tuple[int, ...]]]:
@@ -189,7 +174,6 @@ def run_batched(
     circuit: Circuit,
     initial_states: np.ndarray,
     fuse: bool = True,
-    workspace: Optional[Workspace] = None,
 ) -> np.ndarray:
     """Run a batch of initial states through one measurement-free circuit.
 
@@ -200,12 +184,6 @@ def run_batched(
     — is paid once per circuit instead of once per trial.  With ``fuse``
     (the default) adjacent same-qubit single-qubit gates are merged by
     :func:`fused_operations` before simulation.
-
-    ``workspace`` (default ``None``: the legacy allocating path) reuses
-    a caller-owned :class:`Workspace`'s preallocated buffers for every
-    contraction — bit-for-bit identical results with zero per-gate
-    allocation; the fuzz invariant bank pairs the two paths as
-    differential twins.
 
     Returns the final states, shape ``(B,) + (2,)*n``.
 
@@ -232,8 +210,6 @@ def run_batched(
         operations = fused_operations(unitary_part)
     else:
         operations = [(gate_matrix(g), g.qubits) for g in unitary_part]
-    if workspace is not None:
-        return workspace.apply_operations(states, operations)
     for matrix, qubits in operations:
         states = _apply_matrix(states, matrix, qubits, 1)
     return states

@@ -46,7 +46,6 @@ class TestChaosPlan:
             hangs=2,
             poisons=1,
             drifts=2,
-            unlinks=2,
             pressures=1,
             drift_burst=3,
         )
@@ -55,7 +54,6 @@ class TestChaosPlan:
         assert counts["hang"] == 2
         assert counts["poison"] == 1
         assert counts["drift"] == 6  # two bursts of three deltas
-        assert counts["unlink"] == 2
         assert counts["pressure"] == 1
 
     @pytest.mark.parametrize("seed", [0, 7, 42, 2022, 31337])
@@ -121,7 +119,6 @@ class TestChaosRunner:
             hangs=1,
             poisons=1,
             drifts=1,
-            unlinks=1,
             pressures=0,
         )
         report = ChaosRunner(

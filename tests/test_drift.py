@@ -1,11 +1,9 @@
-"""Streaming calibration drift: deltas, epochs, incremental invalidation.
+"""Streaming calibration drift: deltas, epochs, replayable plans.
 
 Pins the drift subsystem's contracts: a :class:`CalibrationStream`
 bumps a monotonic epoch per applied delta and reports exactly which
 sites moved; a seeded :class:`DriftPlan` replays identically anywhere;
-the incremental distance-table refresh is **bit-for-bit** equivalent to
-a wholesale rebuild while recomputing strictly fewer rows on partial
-drift; and :meth:`Calibration.cache_key` is a sound version fingerprint
+and :meth:`Calibration.cache_key` is a sound version fingerprint
 (permutation-invariant, single-value sensitive, pickle-stable).
 """
 
@@ -14,12 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.compiler.routing import (
-    NoiseAwareRouter,
-    _DISTANCE_CACHE,
-    clear_distance_cache,
-    refresh_distance_caches,
-)
+from repro.compiler.routing import clear_distance_cache
 from repro.compiler.scheduling import alap_schedule, asap_schedule
 from repro.hardware import resolve_device
 from repro.hardware.calibration import SURFACE17_CALIBRATION, Calibration
@@ -31,12 +24,6 @@ from repro.hardware.drift import (
 )
 from repro.service.cache import calibration_version
 from repro.workloads import random_circuit
-
-TOPOLOGIES = ("line:16", "grid:4x5", "surface17")
-
-
-def _an_edge(device, index=0):
-    return sorted(tuple(sorted(e)) for e in device.coupling.edges)[index]
 
 
 @pytest.fixture(autouse=True)
@@ -142,159 +129,6 @@ class TestDriftPlan:
         plan.replay(stream)
         for value in stream.calibration.edge_errors.values():
             assert 0.0 < value <= 0.3  # keeps 3e < 1 for the noise metric
-
-
-class TestIncrementalRefreshEquivalence:
-    @pytest.mark.parametrize("spec", TOPOLOGIES)
-    def test_bitwise_identical_across_seeded_traces(self, spec):
-        device = resolve_device(spec)
-        router = NoiseAwareRouter()
-        for seed in (1, 2, 3):
-            plan = DriftPlan.generate(device, num_updates=8, seed=seed)
-            stream = CalibrationStream(device.calibration)
-            matrix = router._build_distance_matrix(device)
-            current = device
-            for delta in plan.updates:
-                diff = stream.apply(delta)
-                drifted = replace(current, calibration=stream.calibration)
-                matrix, _, _ = router.refresh_distance_matrix(
-                    current, drifted, matrix, diff.changed_edges
-                )
-                full = router._build_distance_matrix(drifted)
-                assert matrix.tobytes() == full.tobytes()
-                current = drifted
-
-    def test_partial_drift_recomputes_strictly_fewer_rows(self):
-        # On a perfectly uniform calibration every row ties through every
-        # edge, so the conservative flagging marks all of them.  Start
-        # from a baseline where the edge is already slightly worse than
-        # its neighbours: only the rows whose shortest paths genuinely
-        # cross it remain flagged when it drifts further.
-        base = resolve_device("grid:4x5")
-        edge = _an_edge(base)
-        device = replace(
-            base,
-            calibration=base.calibration.with_edge_error(*edge, 0.012),
-        )
-        router = NoiseAwareRouter()
-        matrix = router._build_distance_matrix(device)
-        # An *increase* keeps the best edge cost (the scale) unchanged,
-        # so the refresh can stay incremental.
-        drifted = replace(
-            device,
-            calibration=device.calibration.with_edge_error(*edge, 0.013),
-        )
-        refreshed, rows, wholesale = router.refresh_distance_matrix(
-            device, drifted, matrix, [edge]
-        )
-        assert not wholesale
-        assert 0 < rows < device.num_qubits
-        assert refreshed.tobytes() == (
-            router._build_distance_matrix(drifted).tobytes()
-        )
-
-    def test_scale_change_falls_back_to_wholesale(self):
-        device = resolve_device("grid:4x5")
-        router = NoiseAwareRouter()
-        matrix = router._build_distance_matrix(device)
-        edge = _an_edge(device)
-        # Decreasing below every other edge moves the min cost — every
-        # entry of the normalised table shifts, incremental is unsound.
-        drifted = replace(
-            device,
-            calibration=device.calibration.with_edge_error(*edge, 0.001),
-        )
-        refreshed, rows, wholesale = router.refresh_distance_matrix(
-            device, drifted, matrix, [edge]
-        )
-        assert wholesale and rows == device.num_qubits
-        assert refreshed.tobytes() == (
-            router._build_distance_matrix(drifted).tobytes()
-        )
-
-    def test_qubit_only_drift_recomputes_nothing(self):
-        device = resolve_device("grid:4x5")
-        router = NoiseAwareRouter()
-        matrix = router._build_distance_matrix(device)
-        drifted = replace(
-            device,
-            calibration=device.calibration.with_qubit_error(0, 0.005),
-        )
-        refreshed, rows, wholesale = router.refresh_distance_matrix(
-            device, drifted, matrix, []
-        )
-        assert rows == 0 and not wholesale
-        assert refreshed.tobytes() == matrix.tobytes()
-
-    def test_non_coupling_edge_override_recomputes_nothing(self):
-        device = resolve_device("surface17")
-        router = NoiseAwareRouter()
-        matrix = router._build_distance_matrix(device)
-        assert (0, 1) not in {
-            tuple(sorted(e)) for e in device.coupling.edges
-        }
-        drifted = replace(
-            device,
-            calibration=device.calibration.with_edge_error(0, 1, 0.05),
-        )
-        _, rows, wholesale = router.refresh_distance_matrix(
-            device, drifted, matrix, [(0, 1)]
-        )
-        assert rows == 0 and not wholesale
-
-
-class TestRefreshDistanceCaches:
-    def test_migrates_cached_table_and_keeps_old_entry(self):
-        base = resolve_device("grid:4x5")
-        edge = _an_edge(base)
-        # Slightly-worse baseline edge: a further increase flags only
-        # the rows that actually route through it (see the partial-drift
-        # test above for why a uniform baseline flags everything).
-        device = replace(
-            base,
-            calibration=base.calibration.with_edge_error(*edge, 0.012),
-        )
-        router = NoiseAwareRouter()
-        router._distance_matrix(device)  # populate the module cache
-        old_key = router._distance_cache_key(device)
-        stream = CalibrationStream(device.calibration)
-        diff = stream.apply(
-            CalibrationDelta.of(edge_errors={edge: 0.013})
-        )
-        drifted = replace(device, calibration=stream.calibration)
-        refresh = refresh_distance_caches(device, drifted, diff)
-        assert refresh.tables_refreshed == 1
-        assert 0 < refresh.rows_recomputed < refresh.total_rows
-        assert refresh.wholesale_rebuilds == 0
-        new_key = router._distance_cache_key(drifted)
-        # Epoch-pinned in-flight jobs still find the old table; the new
-        # key serves post-drift admissions.
-        assert old_key in _DISTANCE_CACHE and new_key in _DISTANCE_CACHE
-        assert not _DISTANCE_CACHE[new_key].flags.writeable
-
-    def test_no_cached_table_is_a_noop(self):
-        device = resolve_device("grid:4x5")
-        edge = _an_edge(device)
-        drifted = replace(
-            device,
-            calibration=device.calibration.with_edge_error(*edge, 0.05),
-        )
-        refresh = refresh_distance_caches(device, drifted)
-        assert refresh.tables_refreshed == 0
-        assert refresh.rows_recomputed == 0
-
-    def test_missing_diff_forces_wholesale(self):
-        device = resolve_device("grid:4x5")
-        router = NoiseAwareRouter()
-        router._distance_matrix(device)
-        edge = _an_edge(device)
-        drifted = replace(
-            device,
-            calibration=device.calibration.with_edge_error(*edge, 0.05),
-        )
-        refresh = refresh_distance_caches(device, drifted, diff=None)
-        assert refresh.wholesale_rebuilds == 1
-        assert refresh.rows_recomputed == refresh.total_rows
 
 
 class TestCalibrationCacheKeyProperties:

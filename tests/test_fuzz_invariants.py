@@ -19,8 +19,6 @@ from repro.fuzz.invariants import (
     RelabelMetricsInvariant,
     SabreTwinInvariant,
     SkipInvariant,
-    WorkspaceRoutingTwinInvariant,
-    WorkspaceSimTwinInvariant,
 )
 from repro.workloads.suite import BenchmarkCircuit
 
@@ -98,52 +96,6 @@ class TestDifferentialDetection:
         invariant = MetricsTwinInvariant()
         for sample in sample_block(13, 8):
             assert invariant.check(sample) is None
-
-    def test_workspace_twins_in_bank(self):
-        assert {"workspace_routing_twin", "workspace_sim_twin"} <= set(
-            INVARIANT_NAMES
-        )
-
-    def test_workspace_routing_twin_green(self):
-        invariant = WorkspaceRoutingTwinInvariant()
-        for sample in sample_block(17, 8):
-            try:
-                assert invariant.check(sample) is None, sample.describe()
-            except SkipInvariant:
-                continue
-
-    def test_workspace_sim_twin_green(self):
-        invariant = WorkspaceSimTwinInvariant()
-        checked = 0
-        for sample in sample_block(19, 12):
-            try:
-                assert invariant.check(sample) is None, sample.describe()
-            except SkipInvariant:
-                continue
-            checked += 1
-        assert checked > 0, "every sample skipped the dense twin"
-
-    def test_workspace_routing_twin_catches_divergent_router(self):
-        # A router whose workspace path draws differently must trip the
-        # twin, proving the invariant actually compares the transports.
-        class Shifted(SabreRouter):
-            def _select(self, scores):
-                draw = super()._select(scores)
-                if self.use_workspace:
-                    return (draw + 1) % max(1, len(list(scores)))
-                return draw
-
-        def buggy(seed, incremental):
-            return Shifted(seed=seed, incremental=incremental)
-
-        invariant = WorkspaceRoutingTwinInvariant(buggy)
-        messages = []
-        for sample in sample_block(2022, 16):
-            try:
-                messages.append(invariant.check(sample))
-            except SkipInvariant:
-                continue
-        assert any(m is not None for m in messages)
 
 
 class TestMetamorphicDetection:

@@ -221,93 +221,6 @@ class TestDistanceMatrix:
         assert len(_DISTANCE_CACHE) <= 32
 
 
-class TestWorkspaceScoring:
-    """Preallocated-buffer candidate scoring vs the allocating path.
-
-    ``use_workspace=True`` must be pure plumbing: identical swap
-    choices, routed circuits and final layouts on every topology, with
-    the scratch buffers dropped from pickles so pooled dispatch never
-    ships them.
-    """
-
-    @staticmethod
-    def _route_workspace_pair(circuit, device, seed, **kwargs):
-        layout = Layout.trivial(circuit.num_qubits, device.num_qubits)
-        fast = SabreRouter(seed=seed, use_workspace=True, **kwargs).route(
-            circuit, device, layout
-        )
-        slow = SabreRouter(seed=seed, use_workspace=False, **kwargs).route(
-            circuit, device, layout
-        )
-        return fast, slow
-
-    @pytest.mark.parametrize("device", DEVICES, ids=lambda d: d.name or "grid")
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_random_circuits_identical(self, device, seed):
-        circuit = random_circuit(
-            min(8, device.num_qubits), 120, 0.5, seed=seed
-        )
-        fast, slow = self._route_workspace_pair(
-            circuit, device, seed=seed + 3
-        )
-        _assert_identical(fast, slow)
-        assert verify_mapping(
-            circuit, fast.circuit, fast.initial_layout, fast.final_layout
-        )
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_noise_aware_workspace_identical(self, seed):
-        device = surface17_device()
-        circuit = random_circuit(10, 80, 0.5, seed=seed)
-        layout = Layout.trivial(circuit.num_qubits, device.num_qubits)
-        fast = NoiseAwareRouter(seed=seed, use_workspace=True).route(
-            circuit, device, layout
-        )
-        slow = NoiseAwareRouter(seed=seed, use_workspace=False).route(
-            circuit, device, layout
-        )
-        _assert_identical(fast, slow)
-
-    def test_workspace_composes_with_legacy_scoring(self):
-        # All four (incremental, use_workspace) combinations route the
-        # same circuit identically.
-        circuit = decompose_circuit(qft(6), RING8.gate_set)
-        layout = Layout.trivial(6, 8)
-        results = [
-            SabreRouter(
-                seed=5, incremental=incremental, use_workspace=use_workspace
-            ).route(circuit, RING8, layout)
-            for incremental in (True, False)
-            for use_workspace in (True, False)
-        ]
-        for other in results[1:]:
-            _assert_identical(results[0], other)
-
-    def test_workspace_twin_flips_only_the_transport(self):
-        router = SabreRouter(seed=42, incremental=False, use_workspace=True)
-        twin = router.workspace_twin()
-        assert twin.use_workspace is False
-        assert twin.seed == router.seed
-        assert twin.incremental is router.incremental
-        assert twin.workspace_twin().use_workspace is True
-
-    def test_pickled_router_drops_scratch_buffers(self):
-        import pickle
-
-        circuit = random_circuit(8, 60, 0.5, seed=2)
-        router = SabreRouter(seed=9, use_workspace=True)
-        routed = router.route(circuit, RING8, Layout.trivial(8, 8))
-        assert router._score_ws is not None  # scratch was allocated
-        clone = pickle.loads(pickle.dumps(router))
-        assert clone._score_ws is None
-        # A fresh clone (fresh RNG) still routes identically to a fresh
-        # router — the buffers carry no routing state.
-        fresh = pickle.loads(pickle.dumps(SabreRouter(seed=9, use_workspace=True)))
-        assert fresh._score_ws is None
-        rerouted = fresh.route(circuit, RING8, Layout.trivial(8, 8))
-        _assert_identical(routed, rerouted)
-
-
 class TestStatelessChooseSwap:
     """The public one-off ``_choose_swap`` agrees across both paths."""
 

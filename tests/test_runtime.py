@@ -10,12 +10,9 @@ import multiprocessing
 import os
 import pickle
 import signal
-import subprocess
-import sys
 import time
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.circuit import Circuit
@@ -23,8 +20,6 @@ from repro.compiler import sabre_mapper, trivial_mapper
 from repro.experiments.common import run_suite
 from repro.hardware import surface17_device
 from repro.runtime import parallel_map, run_suite_parallel, workers_from_env
-from repro.runtime import shm
-from repro.runtime.batching import pack_batches
 from repro.workloads import small_suite
 from repro.workloads.suite import BenchmarkCircuit
 
@@ -94,6 +89,14 @@ class TestParallelMap:
         seen = []
         parallel_map(_square, [5, 6, 7], workers=1, progress=lambda d, t: seen.append((d, t)))
         assert seen == [(1, 3), (2, 3), (3, 3)]
+
+    def test_shipped_bytes_counts_pickled_payloads(self):
+        payloads = [3, 2 ** 70, 5]
+        pooled = parallel_map(_square, payloads, workers=2)
+        pickled = sum(len(pickle.dumps(p)) for p in payloads)
+        assert pooled.shipped_bytes == pickled
+        # The inline path ships nothing through a pool pipe.
+        assert parallel_map(_square, payloads, workers=1).shipped_bytes == 0
 
     def test_killed_worker_falls_back_serially(self):
         result = parallel_map(_kill_worker_on_two, [0, 1, 2, 3, 4], workers=2)
@@ -261,253 +264,33 @@ class TestSuiteRunner:
         assert serial == pooled
 
     def test_progress_reports_names(self):
+        # Each finished circuit is reported once, with its own index and
+        # name: the sequence the serial loop reports, at any worker count.
         suite = small_suite(3)
-        seen = []
-        run_suite_parallel(
-            suite,
-            surface17_device(),
-            trivial_mapper(),
-            workers=1,
-            progress=lambda i, t, name: seen.append((i, t, name)),
-        )
-        assert all(total == 3 for _, total, _ in seen)
-        assert all(name for _, _, name in seen)
-
-
-# Exits with status 7 after unlinking iff the publisher-side atexit
-# sweep (shm.cleanup_all) removed exactly the one live segment, so a
-# crashing publisher never strands segments in /dev/shm.
-_PUBLISHER_EXIT_SCRIPT = """
-import sys
-from repro.runtime import shm
-
-name, refs = shm.publish_bytes([b"payload-that-dies-with-me"])
-print(name, refs[0].offset, refs[0].length, flush=True)
-sys.exit(7)
-"""
-
-
-class TestSharedMemoryPlane:
-    def test_publish_read_roundtrip(self):
-        if not shm.is_available():
-            pytest.skip("no shared memory on this platform")
-        blobs = [b"alpha", b"", b"gamma" * 100]
-        name, refs = shm.publish_bytes(blobs)
-        try:
-            assert [r.segment for r in refs] == [name] * 3
-            # Back-to-back layout in submission order.
-            assert [r.offset for r in refs] == [0, 5, 5]
-            assert [shm.read_bytes(r) for r in refs] == blobs
-            assert bytes(shm.read_view(refs[2])) == blobs[2]
-        finally:
-            assert shm.release(name)
-        assert name not in shm.created_segments()
-
-    def test_publish_array_attach_is_read_only_view(self):
-        if not shm.is_available():
-            pytest.skip("no shared memory on this platform")
-        source = np.arange(24, dtype=np.float64).reshape(4, 6)
-        ref = shm.publish_array(source)
-        try:
-            view = shm.attach_array(ref)
-            assert view.shape == (4, 6) and view.dtype == np.float64
-            assert np.array_equal(view, source)
-            assert not view.flags.writeable
-            with pytest.raises(ValueError):
-                view[0, 0] = 42.0
-        finally:
-            shm.release(ref.segment)
-
-    def test_double_unlink_is_a_safe_noop(self):
-        if not shm.is_available():
-            pytest.skip("no shared memory on this platform")
-        name, _ = shm.publish_bytes([b"once"])
-        assert shm.unlink(name) is True
-        assert shm.unlink(name) is False  # second unlink: no raise
-        assert shm.unlink("repro-shm-never-created") is False
-
-    def test_retain_release_refcount(self):
-        if not shm.is_available():
-            pytest.skip("no shared memory on this platform")
-        name, _ = shm.publish_bytes([b"counted"])
-        shm.retain(name)
-        assert shm.release(name) is False  # one ref still held
-        assert name in shm.created_segments()
-        assert shm.release(name) is True  # last ref unlinks
-        assert name not in shm.created_segments()
-        with pytest.raises(KeyError):
-            shm.retain(name)
-
-    def test_attach_after_unlink_raises_unavailable(self):
-        if not shm.is_available():
-            pytest.skip("no shared memory on this platform")
-        name, refs = shm.publish_bytes([b"gone soon"])
-        shm.release(name)
-        with pytest.raises(shm.ShmUnavailable):
-            shm.read_bytes(refs[0])
-
-    def test_cleanup_all_sweeps_owned_segments(self):
-        if not shm.is_available():
-            pytest.skip("no shared memory on this platform")
-        before = set(shm.created_segments())
-        shm.publish_bytes([b"a"])
-        shm.publish_bytes([b"b"])
-        assert shm.cleanup_all() >= 2
-        assert set(shm.created_segments()) <= before
-
-    def test_attach_after_publisher_death_raises(self, tmp_path):
-        # A publisher process that exits without releasing relies on the
-        # atexit sweep: its segment must be gone, and a later attach in
-        # another process must fail cleanly with ShmUnavailable.
-        if not shm.is_available():
-            pytest.skip("no shared memory on this platform")
-        script = tmp_path / "publisher_exits.py"
-        script.write_text(_PUBLISHER_EXIT_SCRIPT)
-        env = dict(os.environ)
-        repo_src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.run(
-            [sys.executable, str(script)],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-        assert proc.returncode == 7, proc.stderr
-        name, offset, length = proc.stdout.split()
-        ref = shm.SegmentRef(name, int(offset), int(length))
-        with pytest.raises(shm.ShmUnavailable):
-            shm.read_bytes(ref)
-
-    def test_zero_copy_matrix_matches_by_value(self):
-        # The determinism contract across transports: identical values
-        # at every worker count x batch size, zero-copy or by-value.
-        payloads = list(range(12))
-        baseline = parallel_map(_square, payloads, workers=1)
-        for workers in (1, 4):
-            for batch_size in (1, 4, 32):
-                result = parallel_map(
-                    _square,
-                    payloads,
-                    workers=workers,
-                    batch_size=batch_size,
-                    zero_copy=True,
-                )
-                assert result.values() == baseline.values(), (
-                    f"workers={workers} batch_size={batch_size}"
-                )
-        assert not shm.created_segments()
-
-    def test_zero_copy_pooled_run_reports_descriptor_bytes(self):
-        if not shm.is_available():
-            pytest.skip("no shared memory on this platform")
-        payloads = [b"x" * 4096 + bytes([i]) for i in range(8)]
-        result = parallel_map(
-            len, payloads, workers=2, batch_size=4, zero_copy=True
-        )
-        assert result.values() == [4097] * 8
-        assert result.zero_copy
-        assert result.batches == 2
-        # Descriptors through the pipe, payload bytes through the
-        # segment: shipped is the per-item (offset, length) tuples only.
-        assert 0 < result.shipped_bytes < result.serialized_bytes
-
-    def test_zero_copy_killed_worker_recovers_without_leaks(self):
-        result = parallel_map(
-            _kill_worker_on_two,
-            [0, 1, 2, 3, 4],
-            workers=2,
-            batch_size=2,
-            zero_copy=True,
-        )
-        assert result.fell_back
-        assert result.values() == [0, 10, 20, 30, 40]
-        # The parent recovered from its own pickled copies and still
-        # released the shared segment on the way out.
-        assert not shm.created_segments()
-
-    def test_inline_clone_false_skips_serialization(self):
-        marker = object()  # unpicklable-by-round-trip identity probe
-        seen = []
-        result = parallel_map(
-            seen.append, [marker, marker], workers=1, clone=False
-        )
-        assert result.serialized_bytes == 0
-        assert result.shipped_bytes == 0
-        # The worker saw the caller's live objects, not clones.
-        assert seen[0] is marker and seen[1] is marker
-
-    def test_inline_clone_true_counts_serialized_bytes(self):
-        result = parallel_map(_square, [1, 2, 3], workers=1, clone=True)
-        expected = sum(len(pickle.dumps(p)) for p in [1, 2, 3])
-        assert result.serialized_bytes == expected
-
-
-class TestFusedBatching:
-    def test_batches_are_contiguous_and_complete(self):
-        for batch_size in (1, 2, 3, 5, 100):
-            batches = pack_batches([10] * 7, batch_size)
-            flattened = [index for batch in batches for index in batch]
-            assert flattened == list(range(7))
-            assert all(len(batch) <= max(1, batch_size) for batch in batches)
-
-    def test_size_cap(self):
-        assert pack_batches([1] * 7, 3) == [[0, 1, 2], [3, 4, 5], [6]]
-        assert pack_batches([1] * 4, 1) == [[0], [1], [2], [3]]
-        assert pack_batches([], 4) == []
-
-    def test_byte_budget_closes_batches_early(self):
-        batches = pack_batches([10, 10, 10, 10], 4, max_batch_bytes=25)
-        assert batches == [[0, 1], [2, 3]]
-
-    def test_oversized_single_item_still_ships(self):
-        batches = pack_batches([100, 5, 5], 4, max_batch_bytes=10)
-        assert batches == [[0], [1, 2]]
-        # Oversized in the middle: closes the open batch first.
-        assert pack_batches([5, 100, 5], 4, max_batch_bytes=10) == [
-            [0],
-            [1],
-            [2],
-        ]
-
-    def test_suite_records_identical_across_transports(self):
-        suite = small_suite(6)
         device = surface17_device()
-        baseline = run_suite_parallel(
-            suite, device, sabre_mapper(), workers=1, batch_size=1
+        serial = []
+        run_suite(
+            suite,
+            device,
+            trivial_mapper(),
+            progress=lambda i, t, name: serial.append((i, t, name)),
         )
-        reference = pickle.dumps(baseline.records)
-        for workers, batch_size, zero_copy in (
-            (4, 4, True),
-            (4, 32, False),
-            (1, 4, True),
-        ):
-            report = run_suite_parallel(
+        assert serial == [(i, 3, b.source) for i, b in enumerate(suite)]
+        for workers in (1, 2):
+            seen = []
+            run_suite_parallel(
                 suite,
                 device,
-                sabre_mapper(),
+                trivial_mapper(),
                 workers=workers,
-                batch_size=batch_size,
-                zero_copy=zero_copy,
+                progress=lambda i, t, name: seen.append((i, t, name)),
             )
-            assert pickle.dumps(report.records) == reference, (
-                f"workers={workers} batch_size={batch_size} "
-                f"zero_copy={zero_copy}"
-            )
-        assert not shm.created_segments()
+            assert seen == serial, f"workers={workers}"
 
-    def test_suite_report_carries_transport_fields(self):
+    def test_report_carries_shipped_bytes(self):
         suite = small_suite(4)
-        report = run_suite_parallel(
-            suite,
-            surface17_device(),
-            sabre_mapper(),
-            workers=2,
-            batch_size=2,
-            zero_copy=shm.is_available(),
-        )
-        assert report.batches == 2
-        assert report.serialized_bytes > 0
-        if shm.is_available():
-            assert report.zero_copy
-            assert report.shipped_bytes < report.serialized_bytes
+        device = surface17_device()
+        pooled = run_suite_parallel(suite, device, sabre_mapper(), workers=2)
+        inline = run_suite_parallel(suite, device, sabre_mapper(), workers=1)
+        assert pooled.shipped_bytes > 0
+        assert inline.shipped_bytes == 0

@@ -12,17 +12,7 @@ import dataclasses
 
 import pytest
 
-from repro.compiler.routing import (
-    NoiseAwareRouter,
-    SabreRouter,
-    clear_distance_cache,
-)
 from repro.hardware import resolve_device
-from repro.runtime import shm
-from repro.service import (
-    attach_prewarm_tables,
-    publish_prewarm_tables,
-)
 from repro.service import (
     MAPPERS,
     PRIORITY_CLASSES,
@@ -339,106 +329,6 @@ class TestWorkerPoolService:
             # The retry happened inside the worker: no crash recovery.
             assert service.recovered_total == 0
         assert faulted.payload == clean.payload
-
-
-class TestZeroCopyService:
-    def test_zero_copy_matches_inline_payloads(self, corpus):
-        requests = generate_requests(corpus, 8, seed=21, device=DEVICE)
-        with CompilationService(
-            workers=2, devices=(DEVICE,), zero_copy=True
-        ) as service:
-            pooled = [
-                r.payload
-                for r in ServiceClient(service).compile_many(
-                    requests, timeout=120.0
-                )
-            ]
-            stats = service.stats()
-        with CompilationService(workers=0, devices=(DEVICE,)) as service:
-            inline = [
-                r.payload
-                for r in ServiceClient(service).compile_many(
-                    requests, timeout=120.0
-                )
-            ]
-        assert pooled == inline
-        assert stats["zero_copy"] is True
-        assert stats["dispatch_bytes"] > 0
-        # stop() released every prewarm segment the parent published.
-        assert not shm.created_segments()
-
-    def test_zero_copy_off_by_default_and_inline(self, corpus):
-        with CompilationService(workers=1, devices=(DEVICE,)) as service:
-            assert service.stats()["zero_copy"] is False
-        with CompilationService(
-            workers=0, devices=(DEVICE,), zero_copy=True
-        ) as service:
-            # No worker processes: nothing to prewarm over shm.
-            assert service.stats()["zero_copy"] is False
-            ServiceClient(service).compile(corpus[0], device=DEVICE)
-        assert not shm.created_segments()
-
-    def test_zero_copy_kill_fault_recovered(self, corpus):
-        with CompilationService(workers=0, devices=(DEVICE,)) as service:
-            clean = ServiceClient(service).compile(corpus[4], device=DEVICE)
-        with CompilationService(
-            workers=1, devices=(DEVICE,), zero_copy=True
-        ) as service:
-            faulted = ServiceClient(service).compile(
-                corpus[4],
-                device=DEVICE,
-                faults="kill@0",
-                timeout=120.0,
-            )
-            assert service.recovered_total == 1
-        assert faulted.served_by == "recovery"
-        assert faulted.payload == clean.payload
-        assert not shm.created_segments()
-
-    def test_prewarm_tables_roundtrip(self):
-        if not shm.is_available():
-            pytest.skip("no shared memory on this platform")
-        device = resolve_device(DEVICE)
-        tables, segments = publish_prewarm_tables({DEVICE: device})
-        try:
-            assert set(tables[DEVICE]) == {
-                "hop", "noise", "incident", "calibration",
-            }
-            # The calibration blob shares the incident table's segment,
-            # so the segment count stays at three.
-            assert len(segments) == 3
-            # A cold process would seed all three caches from the
-            # attached views; simulate that by clearing ours first.
-            clear_distance_cache()
-            assert attach_prewarm_tables({DEVICE: device}, tables) == 1
-            hop = SabreRouter()._distance_matrix(device)
-            noise = NoiseAwareRouter()._distance_matrix(device)
-            # The cache serves the seeded read-only shm views, not a
-            # locally rebuilt table.
-            assert not hop.flags.writeable and not hop.flags.owndata
-            assert not noise.flags.writeable
-            # First build wins: re-attaching leaves the cached views
-            # in place instead of swapping tables mid-flight.
-            assert attach_prewarm_tables({DEVICE: device}, tables) == 1
-            assert SabreRouter()._distance_matrix(device) is hop
-        finally:
-            clear_distance_cache()  # drop views into soon-dead segments
-            for name in segments:
-                shm.release(name)
-        assert not shm.created_segments()
-
-    def test_attach_skips_vanished_segments(self):
-        if not shm.is_available():
-            pytest.skip("no shared memory on this platform")
-        device = resolve_device(DEVICE)
-        tables, segments = publish_prewarm_tables({DEVICE: device})
-        for name in segments:
-            shm.release(name)
-        clear_distance_cache()
-        # Every segment is gone: attach degrades to "seed nothing" and
-        # the caller rebuilds locally — never an exception.
-        assert attach_prewarm_tables({DEVICE: device}, tables) == 0
-        assert SabreRouter()._distance_matrix(device).flags.owndata
 
 
 class TestLoadgen:

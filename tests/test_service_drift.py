@@ -4,17 +4,16 @@ Pins the epoch semantics of ``CompilationService.apply_drift``: jobs
 admitted at epoch N resolve with epoch-N payload bytes even when drift
 lands mid-flight, the next identical request misses the cache and
 recompiles under the N+1 calibration, hit/miss counters stay exact,
-worker counts stay byte-identical across a drifting request stream, and
-the zero-copy prewarm segments are republished (old ones unlinked)
-without ever leaking or serving a stale view — including when a worker
-is SIGKILLed while the republish happens.
+worker counts stay byte-identical across a drifting request stream, a
+worker respawned after a drift serves the drifted calibration, and
+``stats()["drift"]`` counts the parent's wholesale noise-table rebuilds.
 """
 
 import pytest
 
+from repro.compiler.routing import NoiseAwareRouter, clear_distance_cache
 from repro.hardware import resolve_device
 from repro.hardware.drift import CalibrationDelta
-from repro.runtime import shm
 from repro.service import (
     CompilationService,
     CompileRequest,
@@ -27,9 +26,7 @@ from repro.service import (
 )
 
 DEVICE = "surface7"
-# (0, 2) is a coupling edge of surface7; a modest increase keeps the
-# cheapest edge (and hence the cost scale) unchanged, so the parent's
-# table refresh can stay incremental.
+# (0, 2) and (1, 4) are coupling edges of surface7.
 DELTA = CalibrationDelta.of(edge_errors={(0, 2): 0.03})
 SECOND_DELTA = CalibrationDelta.of(edge_errors={(1, 4): 0.04})
 
@@ -134,16 +131,15 @@ class TestEpochPinning:
 
     def test_worker_counts_byte_identical_across_drift(self, corpus):
         # Two request waves with a drift update between them: every
-        # worker count (and the zero-copy path) must produce the same
-        # payload bytes for both waves.
+        # worker count must produce the same payload bytes for both waves.
         wave = [
             CompileRequest(circuit=circuit, device=DEVICE)
             for circuit in corpus[:4]
         ]
         streams = {}
-        for workers, zero_copy in ((0, False), (2, False), (2, True)):
+        for workers in (0, 2):
             with CompilationService(
-                workers=workers, devices=(DEVICE,), zero_copy=zero_copy
+                workers=workers, devices=(DEVICE,)
             ) as service:
                 client = ServiceClient(service)
                 before = [
@@ -155,56 +151,24 @@ class TestEpochPinning:
                     r.payload
                     for r in client.compile_many(wave, timeout=120.0)
                 ]
-            streams[(workers, zero_copy)] = (before, after)
-        baseline = streams[(0, False)]
+            streams[workers] = (before, after)
+        baseline = streams[0]
         assert baseline[0] != baseline[1]  # drift actually changed them
-        for key, payloads in streams.items():
-            assert payloads == baseline, f"divergence at {key}"
-        assert not shm.created_segments()
+        for workers, payloads in streams.items():
+            assert payloads == baseline, f"divergence at workers={workers}"
 
 
-class TestZeroCopyDrift:
-    def _require_shm(self):
-        if not shm.is_available():
-            pytest.skip("no shared memory on this platform")
-
-    def test_republish_retires_stale_segments(self, corpus):
-        self._require_shm()
-        with CompilationService(
-            workers=1, devices=(DEVICE,), zero_copy=True
-        ) as service:
-            # hop + noise + incident (calibration shares incident's
-            # segment) published at start.
-            assert len(shm.created_segments()) == 3
-            service.apply_drift(DELTA, device=DEVICE)
-            # New noise + new calibration published; the old noise
-            # segment is unlinked (the old calibration blob shares the
-            # still-live incident segment): 3 - 1 + 2.
-            assert len(shm.created_segments()) == 4
-            service.apply_drift(SECOND_DELTA, device=DEVICE)
-            # Steady state: each further drift retires the previous
-            # noise + calibration segments and publishes two fresh ones.
-            assert len(shm.created_segments()) == 4
-            response = ServiceClient(service).compile(
-                corpus[2], device=DEVICE, timeout=120.0
-            )
-            drifted_version = calibration_version(
-                service._devices[DEVICE].calibration
-            )
-            assert _payload_calibration(response) == drifted_version
-        # stop() released everything that was still published.
-        assert not shm.created_segments()
-
-    def test_respawned_worker_attaches_post_drift_tables(self, corpus):
-        self._require_shm()
-        with CompilationService(
-            workers=1, devices=(DEVICE,), zero_copy=True
-        ) as service:
+class TestRespawnAfterDrift:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_respawned_worker_serves_drifted_calibration(
+        self, corpus, workers
+    ):
+        with CompilationService(workers=workers, devices=(DEVICE,)) as service:
             client = ServiceClient(service)
             service.apply_drift(DELTA, device=DEVICE)
-            # Kill the worker *after* the drift: the respawn must attach
-            # the republished tables (or rebuild locally) and then serve
-            # post-drift requests with the drifted calibration.
+            # Kill a worker *after* the drift: the recovered job and the
+            # follow-up both compile under the drifted calibration, though
+            # the respawned worker never saw the drift message.
             faulted = client.compile(
                 corpus[3],
                 device=DEVICE,
@@ -221,35 +185,43 @@ class TestZeroCopyDrift:
         assert follow_up.served_by.startswith("worker-")
         assert _payload_calibration(faulted) == drifted_version
         assert _payload_calibration(follow_up) == drifted_version
-        assert not shm.created_segments()
 
-    def test_kill_during_republish_recovers_with_pinned_epoch(self, corpus):
-        self._require_shm()
+
+class TestDriftStats:
+    def test_rebuild_counters_inline_and_pooled(self, corpus, monkeypatch):
+        num_qubits = resolve_device(DEVICE).num_qubits
+        router = NoiseAwareRouter()
+        # Earlier drifts in this process may have cached the same epochs.
+        clear_distance_cache()
         with CompilationService(workers=0, devices=(DEVICE,)) as service:
-            clean = ServiceClient(service).compile(
-                corpus[5], device=DEVICE, timeout=120.0
+            pinned = service._devices[DEVICE]
+            for delta in (DELTA, SECOND_DELTA):
+                service.apply_drift(delta, device=DEVICE)
+            # apply_drift built each epoch's noise table wholesale, and the
+            # epoch-0 table stays cached for pinned jobs: the next
+            # noise-aware compute runs no Dijkstra.
+            assert router._is_cached(pinned)
+            builds = []
+            original = NoiseAwareRouter._build_distance_matrix
+
+            def counting(self, device):
+                builds.append(device)
+                return original(self, device)
+
+            monkeypatch.setattr(
+                NoiseAwareRouter, "_build_distance_matrix", counting
             )
-        with CompilationService(
-            workers=1, devices=(DEVICE,), zero_copy=True
-        ) as service:
-            client = ServiceClient(service)
-            # The worker dies on the job while the parent republishes
-            # the prewarm tables; the respawned worker races the unlink
-            # of the old noise segment and must fall back cleanly.
-            job = service.submit(
-                CompileRequest(
-                    circuit=corpus[5],
-                    device=DEVICE,
-                    priority="interactive",
-                    faults="kill@0",
-                )
+            ServiceClient(service).compile(
+                corpus[0], device=DEVICE, mapper="noise-aware", timeout=120.0
             )
-            service.apply_drift(DELTA, device=DEVICE)
-            faulted = job.result(timeout=120.0)
-            follow_up = client.compile(corpus[0], device=DEVICE, timeout=120.0)
-            drifted_version = calibration_version(
-                service._devices[DEVICE].calibration
-            )
-        assert faulted.payload == clean.payload
-        assert _payload_calibration(follow_up) == drifted_version
-        assert not shm.created_segments()
+            assert builds == []
+            inline = service.stats()["drift"]
+        with CompilationService(workers=2, devices=(DEVICE,)) as service:
+            for delta in (DELTA, SECOND_DELTA):
+                service.apply_drift(delta, device=DEVICE)
+            pooled = service.stats()["drift"]
+        assert inline["updates"] == inline["wholesale_rebuilds"] == 2
+        assert inline["rows_recomputed"] == 2 * num_qubits
+        # A pooled parent builds no noise tables: the workers do.
+        assert pooled["updates"] == 2
+        assert pooled["wholesale_rebuilds"] == pooled["rows_recomputed"] == 0

@@ -1,7 +1,5 @@
 """Batched oracle equivalence: batched simulation vs the serial path."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from repro.compiler.mapper import sabre_mapper, trivial_mapper
 from repro.hardware.device import grid_device, line_device
 from repro.sim import (
     Simulator,
-    Workspace,
     allclose_up_to_global_phase,
     apply_gate_batched,
     circuit_unitary,
@@ -151,63 +148,6 @@ class TestRunBatched:
         circuit = _ghz(2)
         with pytest.raises(ValueError, match="non-empty batch"):
             run_batched(circuit, np.zeros((0, 4), dtype=complex))
-
-
-class TestWorkspace:
-    """Preallocated-buffer simulation is bit-for-bit, not just close."""
-
-    def _bitwise_equal(self, a, b):
-        return (
-            np.ascontiguousarray(a).tobytes()
-            == np.ascontiguousarray(b).tobytes()
-        )
-
-    @pytest.mark.parametrize("fuse", [True, False])
-    def test_run_batched_bitwise_identical(self, fuse):
-        circuit = random_circuit(5, 60, 0.4, seed=21)
-        states = random_product_states(5, 6, np.random.default_rng(4))
-        legacy = run_batched(circuit, states, fuse=fuse)
-        pooled = run_batched(
-            circuit, states, fuse=fuse, workspace=Workspace()
-        )
-        assert self._bitwise_equal(legacy, pooled)
-
-    def test_apply_gate_batched_bitwise_identical(self):
-        states = random_product_states(4, 5, np.random.default_rng(6))
-        workspace = Workspace()
-        for gate in (Gate("h", (2,)), Gate("cx", (3, 0)), Gate("t", (1,))):
-            legacy = apply_gate_batched(states, gate)
-            pooled = apply_gate_batched(states, gate, workspace=workspace)
-            assert self._bitwise_equal(legacy, pooled)
-
-    def test_result_is_never_a_workspace_view(self):
-        states = random_product_states(3, 2, np.random.default_rng(9))
-        workspace = Workspace()
-        first = apply_gate_batched(states, Gate("h", (0,)), workspace=workspace)
-        snapshot = first.copy()
-        # Reusing the workspace must not retroactively corrupt results.
-        apply_gate_batched(states, Gate("x", (1,)), workspace=workspace)
-        assert self._bitwise_equal(first, snapshot)
-
-    def test_buffers_grow_across_widths_and_stay_correct(self):
-        workspace = Workspace()
-        capacities = []
-        for qubits, batch in ((3, 2), (6, 4), (4, 3)):
-            circuit = random_circuit(qubits, 30, 0.4, seed=qubits)
-            states = random_product_states(
-                qubits, batch, np.random.default_rng(qubits)
-            )
-            legacy = run_batched(circuit, states)
-            pooled = run_batched(circuit, states, workspace=workspace)
-            assert self._bitwise_equal(legacy, pooled)
-            capacities.append(workspace.capacity)
-        # Grow-only: the shrink back to 4 qubits reuses the 6-qubit buffers.
-        assert capacities == sorted(capacities)
-        assert capacities[-1] == capacities[-2]
-
-    def test_workspace_refuses_pickle(self):
-        with pytest.raises(TypeError, match="cannot be\\s+pickled"):
-            pickle.dumps(Workspace())
 
 
 def _embed_reference(virtual_state, num_physical, layout):

@@ -20,10 +20,10 @@ from repro.workloads import small_suite
 _VOLATILE_ATTRS = {"workers"}
 
 #: Transport metrics describe *how* the run executed, not what work was
-#: traced: the inline workers=1 path dispatches no pool batches and
-#: times no pickle, so these families are worker-count-dependent by
-#: design and excluded from the semantic-equality comparison.
-_TRANSPORT_METRICS = {"batch_size", "serialization_seconds_total"}
+#: traced: the inline workers=1 path times no pickle, so this family is
+#: worker-count-dependent by design and excluded from the
+#: semantic-equality comparison.
+_TRANSPORT_METRICS = {"serialization_seconds_total"}
 
 
 def _semantic_metrics(snapshot):
