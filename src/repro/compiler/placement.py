@@ -95,6 +95,11 @@ class GraphSimilarityPlacement(PlacementPass):
     qubit minimising the interaction-weighted distance to its already
     placed partners.  The first qubit lands on a physical qubit of
     maximal degree (the centre of the chip's best-connected region).
+
+    Every free physical qubit is scored at once: the cost vector sums
+    ``weight * hops[partner position]`` over the placed partners, and the
+    winner is the lexicographic minimum of (cost, -degree, index), so
+    equal costs go to the better-connected, then the lower-index qubit.
     """
 
     name = "graph-similarity"
@@ -105,26 +110,9 @@ class GraphSimilarityPlacement(PlacementPass):
         return self._embed(graph, device)
 
     # ------------------------------------------------------------------
-    def _candidate_cost(
-        self,
-        graph: InteractionGraph,
-        device: Device,
-        placed: Dict[int, int],
-        virtual: int,
-        candidate: int,
-    ) -> float:
-        cost = 0.0
-        for partner in graph.neighbors(virtual):
-            position = placed.get(partner)
-            if position is not None:
-                cost += graph.weight(virtual, partner) * device.coupling.distance(
-                    candidate, position
-                )
-        return cost
-
-    def _tie_break(self, device: Device, candidate: int) -> float:
-        # Prefer well-connected physical qubits among equal-cost choices.
-        return -device.coupling.degree(candidate)
+    def _penalty(self, device: Device) -> Optional[np.ndarray]:
+        """Per-physical-qubit cost charged per unit of weighted degree."""
+        return None
 
     def _order_virtuals(self, graph: InteractionGraph) -> List[int]:
         return sorted(
@@ -134,26 +122,52 @@ class GraphSimilarityPlacement(PlacementPass):
 
     def _embed(self, graph: InteractionGraph, device: Device) -> Layout:
         coupling = device.coupling
+        hops = coupling.distance_matrix()
+        # Prefer well-connected physical qubits among equal-cost choices.
+        neg_degree = -np.count_nonzero(hops == 1, axis=1)
+        disconnected = bool((hops < 0).any())
+        penalty = self._penalty(device)
         placed: Dict[int, int] = {}
-        free = set(range(coupling.num_qubits))
+        free = np.ones(coupling.num_qubits, dtype=bool)
         for virtual in self._order_virtuals(graph):
-            if not placed:
-                # Seed: the best-connected physical qubit.
-                candidate = min(
-                    free, key=lambda p: (self._tie_break(device, p), p)
-                )
-            else:
-                candidate = min(
-                    free,
-                    key=lambda p: (
-                        self._candidate_cost(graph, device, placed, virtual, p),
-                        self._tie_break(device, p),
-                        p,
-                    ),
-                )
+            # The seed (nothing placed yet) scores zero everywhere and so
+            # lands on the best-connected physical qubit.
+            cost = np.zeros(coupling.num_qubits)
+            if placed:
+                positions = [
+                    (graph.weight(virtual, partner), placed[partner])
+                    for partner in graph.neighbors(virtual)
+                    if partner in placed
+                ]
+                # Partner by partner, in the same order and with the same
+                # IEEE operations as a per-candidate sum (hops is
+                # symmetric, so row ``position`` holds every distance to it).
+                for weight, position in positions:
+                    cost += weight * hops[position]
+                if disconnected:
+                    _check_reachable(coupling, hops, free, positions)
+                if penalty is not None:
+                    cost += graph.weighted_degree(virtual) * penalty
+            candidates = np.flatnonzero(free)
+            best = np.lexsort(
+                (candidates, neg_degree[candidates], cost[candidates])
+            )[0]
+            candidate = int(candidates[best])
             placed[virtual] = candidate
-            free.discard(candidate)
+            free[candidate] = False
         return Layout(graph.num_qubits, coupling.num_qubits, placed)
+
+
+def _check_reachable(coupling, hops, free, positions) -> None:
+    """Raise :class:`TopologyError` if a free qubit cannot reach a partner.
+
+    Names the lowest such free qubit and its first unreachable partner.
+    """
+    columns = [position for _, position in positions]
+    cut = np.flatnonzero(free & (hops[:, columns] < 0).any(axis=1))
+    if cut.size:
+        for position in columns:
+            coupling.distance(int(cut[0]), position)  # raises
 
 
 class NoiseAwarePlacement(GraphSimilarityPlacement):
@@ -162,6 +176,10 @@ class NoiseAwarePlacement(GraphSimilarityPlacement):
     Extends :class:`GraphSimilarityPlacement` by penalising candidate
     positions whose incident edges have high two-qubit error rates, so
     heavily-interacting pairs end up on the chip's most reliable links.
+    A physical qubit's quality is the error rate of its best incident
+    edge (``1.0`` when it has none); a virtual qubit pays
+    ``weighted_degree * error_weight * quality`` on top of its distance
+    cost.
     """
 
     name = "noise-aware"
@@ -171,19 +189,16 @@ class NoiseAwarePlacement(GraphSimilarityPlacement):
             raise ValueError("error_weight must be non-negative")
         self.error_weight = error_weight
 
-    def _edge_quality(self, device: Device, physical: int) -> float:
-        from ..circuit.gates import Gate
-
-        errors = [
-            device.calibration.gate_error(Gate("cz", (physical, neighbor)))
-            for neighbor in device.coupling.neighbors(physical)
-        ]
-        return min(errors) if errors else 1.0
-
-    def _candidate_cost(self, graph, device, placed, virtual, candidate):
-        base = super()._candidate_cost(graph, device, placed, virtual, candidate)
-        penalty = self.error_weight * self._edge_quality(device, candidate)
-        return base + graph.weighted_degree(virtual) * penalty
+    def _penalty(self, device: Device) -> np.ndarray:
+        coupling = device.coupling
+        edge_error = device.calibration.edge_error
+        incident: List[List[float]] = [[] for _ in range(coupling.num_qubits)]
+        for a, b in coupling.edges:
+            error = edge_error(a, b)
+            incident[a].append(error)
+            incident[b].append(error)
+        quality = np.array([min(errors, default=1.0) for errors in incident])
+        return self.error_weight * quality
 
 
 class IsomorphismPlacement(PlacementPass):

@@ -921,7 +921,7 @@ class NoiseAwareRouter(SabreRouter):
         costs: Dict[Tuple[int, int], float] = {}
         best = math.inf
         for a, b in device.coupling.edges:
-            error = device.calibration.gate_error(Gate("cz", (a, b)))
+            error = device.calibration.edge_error(a, b)
             swap_error = min(0.999999, 3.0 * error)
             cost = -math.log(1.0 - swap_error) if swap_error > 0 else 1e-9
             costs[(a, b)] = costs[(b, a)] = cost

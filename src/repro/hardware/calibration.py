@@ -120,11 +120,14 @@ class Calibration:
         if gate.num_qubits == 1:
             return self.qubit_errors.get(gate.qubits[0], self.single_qubit_error)
         if gate.num_qubits == 2:
-            key = frozenset(gate.qubits)
-            return self.edge_errors.get(key, self.two_qubit_error)
+            return self.edge_error(*gate.qubits)
         # Multi-qubit primitives cost like their CNOT decomposition; a
         # Toffoli needs six two-qubit gates.
         return min(0.999999, 6.0 * self.two_qubit_error)
+
+    def edge_error(self, a: int, b: int) -> float:
+        """Error probability of a two-qubit gate on physical qubits ``a, b``."""
+        return self.edge_errors.get(frozenset((a, b)), self.two_qubit_error)
 
     def gate_fidelity(self, gate: Gate) -> float:
         return 1.0 - self.gate_error(gate)

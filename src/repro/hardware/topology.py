@@ -4,12 +4,15 @@ The :class:`CouplingGraph` is the hardware-constraint object every mapping
 pass consumes.  It is an undirected simple graph over physical qubit
 indices ``0..num_qubits-1`` with cached all-pairs shortest-path data (the
 router's inner loop is distance lookups, so those are precomputed into a
-numpy matrix on first use).
+numpy matrix on first use).  The tables are memoised per edge set, so
+every graph with the same qubits and edges — e.g. each copy of a device
+unpickled by a pool worker — shares one read-only pair of arrays.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -19,6 +22,48 @@ __all__ = ["CouplingGraph", "TopologyError"]
 
 class TopologyError(ValueError):
     """Raised for invalid coupling-graph constructions or queries."""
+
+
+@lru_cache(maxsize=32)
+def _hop_tables(
+    num_qubits: int, edges: Tuple[Tuple[int, int], ...]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only all-pairs hop counts and next hops of one edge set.
+
+    ``dist[a, b]`` is the hop count (``-1`` when disconnected) and
+    ``hop[a, b]`` the smallest-index neighbor of ``a`` on a shortest
+    ``a -> b`` path (``-1`` when there is none).
+    """
+    n = num_qubits
+    dist = np.full((n, n), -1, dtype=np.int32)
+    hop = dist.copy()
+    # All-sources BFS by boolean frontier expansion: level k holds every
+    # (source, node) pair first reached after k hops.
+    adjacency = np.zeros((n, n), dtype=bool)
+    for a, b in edges:
+        adjacency[a, b] = adjacency[b, a] = True
+    np.fill_diagonal(dist, 0)
+    reached = np.eye(n, dtype=bool)
+    frontier = np.eye(n, dtype=bool)
+    level = 0
+    while frontier.any():
+        level += 1
+        frontier = (frontier @ adjacency) & ~reached
+        dist[frontier] = level
+        reached |= frontier
+    # Compare each neighbor's distance row against dist[a, :] - 1 in bulk
+    # (disconnected pairs never match: their -1 sentinel would need a
+    # neighbor at "distance" -2).
+    for a in range(n):
+        neighbors = np.flatnonzero(adjacency[a]).astype(np.int32)
+        if not neighbors.size:
+            continue
+        on_path = dist[neighbors, :] == dist[a, :] - 1
+        has_hop = on_path.any(axis=0)
+        hop[a, has_hop] = neighbors[on_path.argmax(axis=0)[has_hop]]
+    dist.setflags(write=False)
+    hop.setflags(write=False)
+    return dist, hop
 
 
 class CouplingGraph:
@@ -112,42 +157,10 @@ class CouplingGraph:
     # Distances
     # ------------------------------------------------------------------
     def _ensure_distances(self) -> None:
-        if self._distances is not None:
-            return
-        n = self.num_qubits
-        dist = np.full((n, n), -1, dtype=np.int32)
-        if n == 0:
-            self._distances = dist
-            self._next_hop = dist.copy()
-            return
-        # All-sources BFS by boolean frontier expansion: level k holds every
-        # (source, node) pair first reached after k hops.
-        adjacency = np.zeros((n, n), dtype=bool)
-        for a, b in self._edges:
-            adjacency[a, b] = adjacency[b, a] = True
-        np.fill_diagonal(dist, 0)
-        reached = np.eye(n, dtype=bool)
-        frontier = np.eye(n, dtype=bool)
-        level = 0
-        while frontier.any():
-            level += 1
-            frontier = (frontier @ adjacency) & ~reached
-            dist[frontier] = level
-            reached |= frontier
-        # next_hop[a, b]: the smallest-index neighbor of a on a shortest
-        # a->b path, found by comparing each neighbor's distance row
-        # against dist[a, :] - 1 in bulk (disconnected pairs never match:
-        # their -1 sentinel would need a neighbor at "distance" -2).
-        hop = np.full((n, n), -1, dtype=np.int32)
-        for a in range(n):
-            if not self._adjacency[a]:
-                continue
-            neighbors = np.array(sorted(self._adjacency[a]), dtype=np.int32)
-            on_path = dist[neighbors, :] == dist[a, :] - 1
-            has_hop = on_path.any(axis=0)
-            hop[a, has_hop] = neighbors[on_path.argmax(axis=0)[has_hop]]
-        self._distances = dist
-        self._next_hop = hop
+        if self._distances is None:
+            self._distances, self._next_hop = _hop_tables(
+                self.num_qubits, self._edges
+            )
 
     def distance(self, a: int, b: int) -> int:
         """Hop count between two physical qubits.

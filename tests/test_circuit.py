@@ -163,6 +163,49 @@ class TestTransforms:
             Circuit(1).x(0).repeated(-1)
 
 
+class TestContentHash:
+    """``content_hash`` is embedded in every service payload key."""
+
+    @staticmethod
+    def golden(name=""):
+        return (
+            Circuit(3, name=name)
+            .h(0)
+            .cx(0, 1)
+            .rz(0.25, 2)
+            .u3(0.5, -1.0, 2.0, 1)
+            .cz(1, 2)
+            .measure_all()
+        )
+
+    def test_golden_digest(self):
+        assert self.golden().content_hash() == "4e9786390a868bb1a3abecc0e226ead2"
+
+    def test_name_is_ignored(self):
+        assert self.golden("a").content_hash() == self.golden("b").content_hash()
+
+    def test_signed_zero_parameters_differ(self):
+        positive = Circuit(1).rz(0.0, 0).content_hash()
+        negative = Circuit(1).rz(-0.0, 0).content_hash()
+        assert positive != negative
+
+    def test_append_changes_digest(self):
+        circuit = self.golden()
+        before = circuit.content_hash()
+        circuit.append(Gate("x", (2,)))
+        assert circuit.content_hash() != before
+
+    def test_register_size_is_covered(self):
+        assert Circuit(2).h(0).content_hash() != Circuit(3).h(0).content_hash()
+
+    def test_pickle_round_trip_keeps_digest(self):
+        import pickle
+
+        circuit = self.golden("pickled")
+        clone = pickle.loads(pickle.dumps(circuit))
+        assert clone.content_hash() == circuit.content_hash()
+
+
 class TestBuilderGateCoverage:
     """Every builder shorthand produces the right gate kind."""
 

@@ -1,9 +1,12 @@
 """Unit tests for coupling graphs (repro.hardware.topology)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from repro.hardware import CouplingGraph, TopologyError
+from repro.hardware.library import grid, ring, surface_code_grid
 
 
 def path4():
@@ -99,6 +102,110 @@ class TestDistances:
     def test_diameter_disconnected_raises(self):
         with pytest.raises(TopologyError):
             CouplingGraph(3, [(0, 1)]).diameter()
+
+
+def bfs_distances(graph):
+    """Per-source BFS hop counts (-1 when unreachable), built from scratch."""
+    n = graph.num_qubits
+    dist = np.full((n, n), -1)
+    for source in range(n):
+        dist[source, source] = 0
+        queue = deque([source])
+        while queue:
+            current = queue.popleft()
+            for neighbor in graph.neighbors(current):
+                if dist[source, neighbor] < 0:
+                    dist[source, neighbor] = dist[source, current] + 1
+                    queue.append(neighbor)
+    return dist
+
+
+GRAPHS = {
+    "ring": lambda: ring(9),
+    "grid": lambda: grid(3, 4),
+    "surface": lambda: surface_code_grid(30),
+    "disconnected": lambda: CouplingGraph(7, [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6)]),
+}
+
+
+class TestSharedTables:
+    """Graphs with equal edge sets share one read-only pair of tables."""
+
+    def test_equal_edges_share_arrays(self):
+        a = CouplingGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)], name="a")
+        b = CouplingGraph(5, [(4, 3), (2, 3), (1, 2), (0, 1), (1, 0)], name="b")
+        assert np.shares_memory(a.distance_matrix(), b.distance_matrix())
+        a.shortest_path(0, 4)
+        b.shortest_path(4, 0)
+        assert a._next_hop is b._next_hop
+
+    def test_different_edges_do_not_share(self):
+        a = CouplingGraph(4, [(0, 1), (1, 2), (2, 3)])
+        b = CouplingGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert not np.shares_memory(a.distance_matrix(), b.distance_matrix())
+        assert a.distance(0, 3) == 3 and b.distance(0, 3) == 1
+
+    def test_shared_arrays_are_read_only(self):
+        graph = CouplingGraph(4, [(0, 1), (1, 2), (2, 3)])
+        graph.shortest_path(0, 3)
+        matrix = graph.distance_matrix()
+        with pytest.raises(ValueError):
+            matrix[0, 1] = 7
+        with pytest.raises(ValueError):
+            matrix.setflags(write=True)
+        for table in (graph._distances, graph._next_hop):
+            with pytest.raises(ValueError):
+                table[0, 1] = 7
+        assert CouplingGraph(4, [(2, 3), (1, 2), (0, 1)]).distance(0, 1) == 1
+
+    def test_pickled_copy_matches(self):
+        import pickle
+
+        graph = surface_code_grid(30)
+        graph.distance(0, 1)
+        clone = pickle.loads(pickle.dumps(graph))
+        assert np.array_equal(clone.distance_matrix(), graph.distance_matrix())
+        assert clone.shortest_path(0, 29) == graph.shortest_path(0, 29)
+
+    @pytest.mark.parametrize("kind", sorted(GRAPHS))
+    def test_queries_match_a_fresh_build(self, kind):
+        graph = GRAPHS[kind]()
+        GRAPHS[kind]().distance_matrix()  # a twin fills the shared tables
+        expected = bfs_distances(graph)
+        assert np.array_equal(graph.distance_matrix(), expected)
+        n = graph.num_qubits
+        for a in range(n):
+            for b in range(n):
+                if expected[a, b] < 0:
+                    with pytest.raises(TopologyError, match="disconnected"):
+                        graph.distance(a, b)
+                    with pytest.raises(TopologyError, match="disconnected"):
+                        graph.shortest_path(a, b)
+                    continue
+                assert graph.distance(a, b) == expected[a, b]
+                # Each step goes to the smallest-index neighbor one hop closer.
+                path, current = [a], a
+                while current != b:
+                    current = min(
+                        q
+                        for q in graph.neighbors(current)
+                        if expected[q, b] == expected[current, b] - 1
+                    )
+                    path.append(current)
+                assert graph.shortest_path(a, b) == path
+        if (expected < 0).any():
+            with pytest.raises(TopologyError):
+                graph.diameter()
+            with pytest.raises(TopologyError):
+                graph.average_distance()
+        else:
+            assert graph.diameter() == expected.max()
+            assert graph.average_distance() == expected.sum() / (n * (n - 1))
+
+    def test_empty_graph(self):
+        graph = CouplingGraph(0, [])
+        assert graph.distance_matrix().shape == (0, 0)
+        assert graph.diameter() == 0
 
 
 class TestConnectivity:
