@@ -11,9 +11,14 @@ Two checks, both against the observability layer added in
    span, ``metrics.prom`` parses as Prometheus text exposition with the
    routing metric families, and the per-worker shards merged into a
    lossless ``workers/merged.jsonl``.
-2. **Overhead** — routes the ``bench_routing_hotpath`` smoke workload
-   with telemetry off and on (min of ``--repeats`` each) and fails when
-   the traced time exceeds ``OVERHEAD_LIMIT`` x the baseline.
+2. **Overhead** — SABRE-routes a 10-circuit suite (up to 54 qubits and
+   2000 gates) onto the 100-qubit extended Surface-17 with telemetry off
+   and on, and fails when the traced time (min of ``--repeats``) exceeds
+   ``OVERHEAD_LIMIT`` x the untraced one.  Each round runs both sides,
+   and every other round runs the traced side first: host CPU speed
+   drifts over a run, and timing all untraced repeats before all traced
+   ones turns that drift into a bias of either sign.  The repeat count
+   must be even so both orders occur equally often.
 
 Usage::
 
@@ -29,20 +34,15 @@ import argparse
 import json
 import re
 import tempfile
+import time
 from pathlib import Path
 
-from bench_routing_hotpath import (
-    ROUTER_SEED,
-    SMOKE_CIRCUITS,
-    SMOKE_MAX_GATES,
-    _route_all,
-    _workload,
-)
-
 from repro import telemetry
+from repro.compiler.decompose import decompose_circuit
+from repro.compiler.layout import Layout
 from repro.compiler.mapper import sabre_mapper
 from repro.compiler.routing import SabreRouter, clear_distance_cache
-from repro.hardware.device import surface17_device
+from repro.hardware.device import surface17_device, surface17_extended_device
 from repro.runtime import run_suite_parallel
 from repro.telemetry.export import read_jsonl
 from repro.telemetry.merge import MERGED_FILENAME, WORKER_DIR_NAME
@@ -50,6 +50,15 @@ from repro.workloads import evaluation_suite
 
 #: Telemetry-on wall time must stay below this multiple of telemetry-off.
 OVERHEAD_LIMIT = 1.10
+
+#: Circuits in the traced suite and in the overhead workload.
+NUM_CIRCUITS = 10
+
+#: Overhead workload: suite seed, gate cap, router seed and device width.
+SUITE_SEED = 2022
+MAX_GATES = 2000
+ROUTER_SEED = 11
+DEVICE_QUBITS = 100
 
 #: Span names the traced suite run must produce.
 EXPECTED_SPANS = {
@@ -87,7 +96,7 @@ def _traced_suite(export_dir: Path) -> None:
     """Map 10 circuits traced and validate every exporter output."""
     device = surface17_device()
     suite = evaluation_suite(
-        num_circuits=SMOKE_CIRCUITS,
+        num_circuits=NUM_CIRCUITS,
         seed=_TRACE_SEED,
         max_qubits=device.num_qubits,
         max_gates=400,
@@ -174,25 +183,46 @@ def _traced_suite(export_dir: Path) -> None:
     )
 
 
-def _route_time(enabled: bool, device, circuits, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        if enabled:
-            with telemetry.capture(enabled=True):
-                elapsed, _ = _route_all(SabreRouter, True, device, circuits)
-        else:
-            elapsed, _ = _route_all(SabreRouter, True, device, circuits)
-        best = min(best, elapsed)
-    return best
+def _workload():
+    device = surface17_extended_device(DEVICE_QUBITS)
+    suite = evaluation_suite(
+        num_circuits=NUM_CIRCUITS,
+        seed=SUITE_SEED,
+        max_qubits=54,
+        max_gates=MAX_GATES,
+    )
+    return device, [decompose_circuit(b.circuit, device.gate_set) for b in suite]
+
+
+def _route_all(device, circuits) -> float:
+    """Wall time of routing every circuit with a fresh SABRE router."""
+    start = time.perf_counter()
+    for circuit in circuits:
+        layout = Layout.trivial(circuit.num_qubits, device.num_qubits)
+        SabreRouter(seed=ROUTER_SEED).route(circuit, device, layout)
+    return time.perf_counter() - start
+
+
+def _route_time(enabled: bool, device, circuits) -> float:
+    if enabled:
+        with telemetry.capture(enabled=True):
+            return _route_all(device, circuits)
+    return _route_all(device, circuits)
 
 
 def _overhead_gate(repeats: int) -> None:
     """Telemetry-on must stay within OVERHEAD_LIMIT of telemetry-off."""
-    device, circuits, _ = _workload(SMOKE_CIRCUITS, SMOKE_MAX_GATES)
+    device, circuits = _workload()
     clear_distance_cache()
-    _route_all(SabreRouter, True, device, circuits)  # warm caches
-    off_s = _route_time(False, device, circuits, repeats)
-    on_s = _route_time(True, device, circuits, repeats)
+    _route_all(device, circuits)  # warm caches
+    best = {False: float("inf"), True: float("inf")}
+    for round_no in range(repeats):
+        # Every other round times the traced side first (module docstring).
+        order = (False, True) if round_no % 2 == 0 else (True, False)
+        for enabled in order:
+            elapsed = _route_time(enabled, device, circuits)
+            best[enabled] = min(best[enabled], elapsed)
+    off_s, on_s = best[False], best[True]
     ratio = on_s / off_s
     status = "ok" if ratio <= OVERHEAD_LIMIT else "FAILED"
     print(
@@ -219,10 +249,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--repeats",
         type=int,
-        default=3,
-        help="timing repeats per overhead path (min is kept)",
+        default=4,
+        help="timing rounds, each running both sides (min is kept); "
+        "even, so off-first and on-first rounds are equal",
     )
     args = parser.parse_args(argv)
+    if args.repeats < 2 or args.repeats % 2:
+        parser.error("--repeats must be a positive even number")
     if args.out is not None:
         _traced_suite(args.out)
     else:

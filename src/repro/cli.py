@@ -309,7 +309,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .fuzz import planted_bug_selftest, run_fuzz
 
     if args.self_test:
-        print("self-test: planting an off-by-one in the incremental router ...")
+        print("self-test: planting an off-by-one in the SABRE router ...")
         planted_bug_selftest()
         print("self-test: planted bug found and shrunk — harness is live")
     if args.faults:

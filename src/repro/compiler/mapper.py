@@ -118,15 +118,12 @@ class MappingResult:
         self,
         trials: int = 3,
         seed: Optional[int] = 1234,
-        batched: bool = True,
     ) -> bool:
         """Check semantic correctness against the state-vector oracle.
 
         The mapped circuit is compacted onto its touched physical qubits
         first; verification requires that compact register to stay within
-        the dense-simulation limit.  ``batched`` selects the batched,
-        gate-fused oracle (the default) or the serial trial-by-trial
-        loop; both return the same verdict for the same seed.
+        the dense-simulation limit.
 
         Raises
         ------
@@ -148,7 +145,6 @@ class MappingResult:
             final,
             trials=trials,
             seed=seed,
-            batched=batched,
         )
 
     def _compact(self):

@@ -181,8 +181,7 @@ class Router:
     and the concrete routers re-check it inside their search loops (once
     per SABRE swap round / per trivial SWAP chain / per exact-search
     expansion), raising ``DeadlineExceeded`` instead of stalling.  With
-    ``deadline=None`` — the default — no check site executes and
-    legacy three-argument ``_route`` overrides keep working unchanged.
+    ``deadline=None`` — the default — no check site executes.
     """
 
     name = "router"
@@ -201,11 +200,7 @@ class Router:
             qubits=circuit.num_qubits,
             gates=circuit.num_gates,
         ) as sp:
-            result = (
-                self._route(circuit, device, layout)
-                if deadline is None
-                else self._route(circuit, device, layout, deadline=deadline)
-            )
+            result = self._route(circuit, device, layout, deadline=deadline)
             sp.set("swap_count", result.swap_count)
             sp.set("bridge_count", result.bridge_count)
         if tracing.is_enabled():
@@ -336,7 +331,11 @@ class SabreRouter(Router):
     Maintains the dependency front layer; executable gates are emitted
     eagerly, and when the front is blocked the SWAP minimising a weighted
     sum of front-layer and look-ahead distances (with per-qubit decay to
-    avoid ping-pong) is applied.
+    avoid ping-pong) is applied.  Swap candidates are scored by the
+    *delta* of the two moved qubits against the cached distance tables;
+    :func:`repro.fuzz.reference.reference_route` keeps the original
+    copy-the-layout-and-rescore loop, and the two choose identical swaps
+    (ties included) whenever the distance metric is integer-valued.
 
     Parameters
     ----------
@@ -349,12 +348,6 @@ class SabreRouter(Router):
         after which decay factors reset.
     seed:
         Tie-breaking randomisation seed (ties are common on lattices).
-    incremental:
-        Score swap candidates by the *delta* of the two moved qubits
-        against the cached distance tables (the fast path).  When false,
-        fall back to the legacy copy-the-layout-and-rescore path; both
-        paths choose identical swaps (ties included) whenever the
-        distance metric is integer-valued, which the property tests pin.
     stall_limit:
         Swap rounds without front-layer progress before the router falls
         back to deterministic shortest-path routing for the first blocked
@@ -384,38 +377,15 @@ class SabreRouter(Router):
         decay_delta: float = 0.001,
         decay_reset_interval: int = 5,
         seed: Optional[int] = 11,
-        incremental: bool = True,
         stall_limit: Optional[int] = None,
     ) -> None:
         self.lookahead_size = lookahead_size
         self.lookahead_weight = lookahead_weight
         self.decay_delta = decay_delta
         self.decay_reset_interval = decay_reset_interval
-        self.incremental = incremental
         self.stall_limit = stall_limit
         self.seed = seed
         self._rng = np.random.default_rng(seed)
-
-    def twin(self) -> "SabreRouter":
-        """A freshly seeded clone running the *other* scoring path.
-
-        The twin shares every hyperparameter (including the tie-break
-        seed) but has ``incremental`` flipped, so routing the same
-        circuit through ``router`` and ``router.twin()`` exercises the
-        fast path against the verbatim legacy implementation — the
-        differential oracle the fuzz harness is built on.  Both routers
-        must be fresh (no prior ``route`` calls) for the RNG streams to
-        stay aligned.
-        """
-        return type(self)(
-            lookahead_size=self.lookahead_size,
-            lookahead_weight=self.lookahead_weight,
-            decay_delta=self.decay_delta,
-            decay_reset_interval=self.decay_reset_interval,
-            seed=self.seed,
-            incremental=not self.incremental,
-            stall_limit=self.stall_limit,
-        )
 
     # -- distance metric -------------------------------------------------
     def _build_distance_matrix(self, device: Device) -> np.ndarray:
@@ -456,8 +426,6 @@ class SabreRouter(Router):
     def _route(
         self, circuit: Circuit, device: Device, layout: Layout, deadline=None
     ) -> RoutingResult:
-        if not self.incremental:
-            return self._route_legacy(circuit, device, layout, deadline)
         self._validate(circuit, device, layout)
         coupling = device.coupling
         dist = self._distance_matrix(device)
@@ -585,159 +553,24 @@ class SabreRouter(Router):
         )
 
     # ---------------------------------------------------------------------
-    # Legacy (pre-optimisation) path, selected with ``incremental=False``.
-    #
-    # Kept verbatim — per-call distance-matrix construction, per-round
-    # front/extended recomputation, copy-the-layout candidate scoring —
-    # so the equivalence property tests and the routing benchmark compare
-    # the fast path against the real original implementation rather than
-    # a half-optimised hybrid.
-    # ---------------------------------------------------------------------
-    def _route_legacy(
-        self, circuit: Circuit, device: Device, layout: Layout, deadline=None
-    ) -> RoutingResult:
-        self._validate(circuit, device, layout)
-        coupling = device.coupling
-        dist = self._build_distance_matrix(device)
-        layout = layout.copy()
-        initial = layout.as_dict()
-        out = Circuit(device.num_qubits, name=circuit.name)
-        dag = CircuitDag(circuit)
-        frontier = ExecutionFrontier(dag)
-        decay = np.ones(device.num_qubits)
-        swap_count = 0
-        rounds_since_progress = 0
-        swap_rounds = 0
-        stall_fallbacks = 0
-        stall_limit = (
-            self.stall_limit
-            if self.stall_limit is not None
-            else 10 * max(10, device.num_qubits)
-        )
-
-        def executable(node: int) -> bool:
-            gate = dag.gate(node)
-            if not gate.is_two_qubit:
-                return True
-            pa = layout.physical(gate.qubits[0])
-            pb = layout.physical(gate.qubits[1])
-            return coupling.are_adjacent(pa, pb)
-
-        def drain() -> bool:
-            """Emit every currently executable gate; True if any ran."""
-            progressed = False
-            while True:
-                ready = [n for n in sorted(frontier.ready) if executable(n)]
-                if not ready:
-                    return progressed
-                for node in ready:
-                    out.append(self._remap(dag.gate(node), layout))
-                    frontier.complete(node)
-                progressed = True
-
-        while True:
-            if drain():
-                decay[:] = 1.0
-                rounds_since_progress = 0
-            if frontier.exhausted:
-                break
-            if deadline is not None:
-                deadline.check("route.sabre")
-            front_gates = [
-                dag.gate(n) for n in frontier.ready if dag.gate(n).is_two_qubit
-            ]
-            if not front_gates:  # pragma: no cover - defensive
-                raise RoutingError("blocked frontier without two-qubit gates")
-            if rounds_since_progress > stall_limit:
-                # Fall back to deterministic shortest-path routing for the
-                # first blocked gate; guarantees global progress.
-                gate = front_gates[0]
-                path = coupling.shortest_path(
-                    layout.physical(gate.qubits[0]), layout.physical(gate.qubits[1])
-                )
-                for i in range(len(path) - 2):
-                    out.append(Gate("swap", (path[i], path[i + 1])))
-                    layout.swap_physical(path[i], path[i + 1])
-                    swap_count += 1
-                rounds_since_progress = 0
-                stall_fallbacks += 1
-                continue
-            extended = self._extended_set_legacy(dag, frontier)
-            best_swap = self._choose_swap_naive(
-                front_gates, extended, layout, coupling, dist, decay
-            )
-            out.append(Gate("swap", best_swap))
-            layout.swap_physical(*best_swap)
-            swap_count += 1
-            decay[best_swap[0]] += self.decay_delta
-            decay[best_swap[1]] += self.decay_delta
-            swap_rounds += 1
-            rounds_since_progress += 1
-            if swap_rounds % self.decay_reset_interval == 0:
-                decay[:] = 1.0
-        self._count_iterations(swap_rounds, stall_fallbacks)
-        return RoutingResult(out, initial, layout.as_dict(), swap_count)
-
-    def _extended_set_legacy(
-        self, dag: CircuitDag, frontier: ExecutionFrontier
-    ) -> List[Gate]:
-        """Original extended-set BFS (per-node accessor calls)."""
-        result: List[Gate] = []
-        seen: Set[int] = set(frontier.ready)
-        queue = list(frontier.ready)
-        index = 0
-        while index < len(queue) and len(result) < self.lookahead_size:
-            node = queue[index]
-            index += 1
-            for succ in dag.successors(node):
-                if succ in seen:
-                    continue
-                seen.add(succ)
-                queue.append(succ)
-                gate = dag.gate(succ)
-                if gate.is_two_qubit:
-                    result.append(gate)
-                    if len(result) >= self.lookahead_size:
-                        break
-        return result
-
-    def _swap_candidates_legacy(
-        self, front_gates: Sequence[Gate], layout: Layout, coupling
-    ) -> List[Tuple[int, int]]:
-        """Original candidate generation (per-call neighbor frozensets)."""
-        involved: Set[int] = set()
-        for gate in front_gates:
-            involved.add(layout.physical(gate.qubits[0]))
-            involved.add(layout.physical(gate.qubits[1]))
-        candidates: Set[Tuple[int, int]] = set()
-        for physical in involved:
-            for neighbor in coupling.neighbors(physical):
-                candidates.add(tuple(sorted((physical, neighbor))))
-        return sorted(candidates)
-
-    # ---------------------------------------------------------------------
     def _extended_set(
         self,
         dag: CircuitDag,
         frontier: ExecutionFrontier,
-        is_2q: Optional[Sequence[bool]] = None,
-        gates: Optional[Sequence[Gate]] = None,
+        is_2q: Sequence[bool],
+        gates: Sequence[Gate],
     ) -> List[Gate]:
         """Upcoming two-qubit gates beyond the front layer (BFS order).
 
-        ``is_2q`` / ``gates`` optionally supply the per-node two-qubit
-        flags and gate list the routing loop already precomputed,
-        avoiding repeated property lookups on the hot path (the
-        ``Circuit.gates`` accessor copies the whole gate list).
+        ``is_2q`` / ``gates`` are the per-node two-qubit flags and gate
+        list the routing loop precomputed, avoiding repeated property
+        lookups on the hot path (the ``Circuit.gates`` accessor copies
+        the whole gate list).
         """
         result: List[Gate] = []
         limit = self.lookahead_size
         if limit <= 0:
             return result
-        if gates is None:
-            gates = dag.circuit.gates
-        if is_2q is None:
-            is_2q = [g.is_two_qubit for g in gates]
         seen: Set[int] = set(frontier.ready)
         queue = list(frontier.ready)
         succs = dag._succs
@@ -756,39 +589,6 @@ class SabreRouter(Router):
                         break
         return result
 
-    def _swap_candidates(
-        self, front_gates: Sequence[Gate], layout: Layout, coupling
-    ) -> List[Tuple[int, int]]:
-        incident = _incident_edges(coupling)
-        v2p = layout._v2p
-        involved: Set[int] = set()
-        for gate in front_gates:
-            involved.add(v2p[gate.qubits[0]])
-            involved.add(v2p[gate.qubits[1]])
-        candidates: Set[Tuple[int, int]] = set()
-        for physical in involved:
-            candidates.update(incident[physical])
-        return sorted(candidates)
-
-    def _heuristic(
-        self,
-        front_gates: Sequence[Gate],
-        extended: Sequence[Gate],
-        layout: Layout,
-        dist: np.ndarray,
-    ) -> float:
-        front_cost = sum(
-            dist[layout.physical(g.qubits[0]), layout.physical(g.qubits[1])]
-            for g in front_gates
-        ) / len(front_gates)
-        if not extended:
-            return front_cost
-        look_cost = sum(
-            dist[layout.physical(g.qubits[0]), layout.physical(g.qubits[1])]
-            for g in extended
-        ) / len(extended)
-        return front_cost + self.lookahead_weight * look_cost
-
     def _score_candidates(
         self,
         endpoints: np.ndarray,
@@ -805,7 +605,8 @@ class SabreRouter(Router):
         ``a <-> b`` substituted — one fancy-indexed gather against the
         cached distance matrix scores every candidate at once.  For the
         hop metric all sums are of exact small integers in float64, so
-        scores are bit-identical to the naive path's; real-valued metrics
+        scores are bit-identical to those of the copy-the-layout loop in
+        :func:`repro.fuzz.reference.reference_route`; real-valued metrics
         (noise-aware) agree to float round-off.
 
         Returns the per-candidate scores plus the post-swap endpoint
@@ -833,9 +634,10 @@ class SabreRouter(Router):
     def _select(self, scores: Sequence[float]) -> int:
         """Running-threshold tie collection plus one RNG draw.
 
-        Both scoring paths share this exact scan (including the 1e-12
-        threshold semantics and a single ``rng.integers`` call per round),
-        which is what keeps their outputs aligned gate for gate.
+        :func:`repro.fuzz.reference.reference_route` draws its tie-breaks
+        through this exact scan (including the 1e-12 threshold semantics
+        and a single ``rng.integers`` call per round), which is what
+        keeps the two routes aligned gate for gate.
         """
         best_score = math.inf
         best: List[int] = []
@@ -848,53 +650,6 @@ class SabreRouter(Router):
         if not best:  # pragma: no cover - defensive
             raise RoutingError("no swap candidates on a blocked frontier")
         return best[int(self._rng.integers(len(best)))]
-
-    def _choose_swap(
-        self,
-        front_gates: Sequence[Gate],
-        extended: Sequence[Gate],
-        layout: Layout,
-        coupling,
-        dist: np.ndarray,
-        decay: np.ndarray,
-    ) -> Tuple[int, int]:
-        """Stateless entry point (used by tests and one-off callers).
-
-        ``route()`` inlines the incremental path so it can carry the
-        endpoint arrays across swap rounds; this method rebuilds them from
-        the layout each call but scores identically.
-        """
-        if not self.incremental:
-            return self._choose_swap_naive(
-                front_gates, extended, layout, coupling, dist, decay
-            )
-        candidates = self._swap_candidates(front_gates, layout, coupling)
-        endpoints = _endpoint_arrays(front_gates, extended, layout._v2p)
-        scores, _ = self._score_candidates(
-            endpoints, candidates, len(front_gates), len(extended), dist, decay
-        )
-        return candidates[self._select(scores)]
-
-    def _choose_swap_naive(
-        self,
-        front_gates: Sequence[Gate],
-        extended: Sequence[Gate],
-        layout: Layout,
-        coupling,
-        dist: np.ndarray,
-        decay: np.ndarray,
-    ) -> Tuple[int, int]:
-        """Legacy scoring: copy the layout and re-sum every scored gate."""
-        candidates = self._swap_candidates_legacy(front_gates, layout, coupling)
-        scores: List[float] = []
-        for a, b in candidates:
-            trial = layout.copy()
-            trial.swap_physical(a, b)
-            scores.append(
-                max(decay[a], decay[b])
-                * self._heuristic(front_gates, extended, trial, dist)
-            )
-        return candidates[self._select(scores)]
 
 
 class NoiseAwareRouter(SabreRouter):

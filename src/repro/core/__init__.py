@@ -10,7 +10,6 @@ from .metrics import (
     clear_metrics_cache,
     compute_metrics,
     metrics_cache_info,
-    metrics_twin_deltas,
 )
 from .correlation import MetricReduction, pearson_matrix, reduce_metrics
 from .profiles import CircuitProfile, profile_circuit, profile_suite
@@ -42,7 +41,6 @@ __all__ = [
     "clear_metrics_cache",
     "compute_metrics",
     "metrics_cache_info",
-    "metrics_twin_deltas",
     "MetricReduction",
     "pearson_matrix",
     "reduce_metrics",

@@ -144,29 +144,14 @@ class InteractionGraph:
         """True when all qubits belong to one interacting component."""
         return len(self.connected_components()) <= 1
 
-    def shortest_path_lengths(self, vectorized: bool = True) -> np.ndarray:
+    def shortest_path_lengths(self) -> np.ndarray:
         """Unweighted all-pairs hop counts (``-1`` for unreachable pairs).
 
-        The default path runs one level-synchronous BFS from *all*
-        sources at once: the reachability frontier of every source is a
-        row of a boolean matrix and one boolean matrix product per hop
-        level advances all frontiers together.  ``vectorized=False``
-        keeps the original per-source BFS loop; both produce the exact
-        same integer matrix.
+        Runs one level-synchronous BFS from *all* sources at once: the
+        reachability frontier of every source is a row of a boolean
+        matrix and one boolean matrix product per hop level advances all
+        frontiers together.
         """
-        n = self.num_qubits
-        if not vectorized:
-            dist = np.full((n, n), -1, dtype=np.int32)
-            for source in range(n):
-                dist[source, source] = 0
-                queue = deque([source])
-                while queue:
-                    current = queue.popleft()
-                    for neighbor in self._adjacency[current]:
-                        if dist[source, neighbor] == -1:
-                            dist[source, neighbor] = dist[source, current] + 1
-                            queue.append(neighbor)
-            return dist
         return _all_pairs_hops(self.adjacency_matrix() > 0)
 
     def subgraph_without_isolated(self) -> "InteractionGraph":

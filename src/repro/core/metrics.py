@@ -15,7 +15,7 @@ Table I — metric, description and its relation to mapping.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, fields
 from typing import Dict, List, Tuple
 
@@ -30,7 +30,6 @@ __all__ = [
     "circuit_graph_metrics",
     "clear_metrics_cache",
     "metrics_cache_info",
-    "metrics_twin_deltas",
     "BETWEENNESS_METRICS",
     "METRIC_NAMES",
     "PAPER_RETAINED_METRICS",
@@ -130,44 +129,14 @@ TABLE1_ROWS: List[Tuple[str, str, str]] = [
 # Individual metric computations
 # ---------------------------------------------------------------------------
 
-def _path_statistics(graph: InteractionGraph) -> Tuple[float, float, float]:
+def _path_statistics(dist: np.ndarray) -> Tuple[float, float, float]:
     """(avg shortest path, diameter, avg closeness) over reachable pairs.
-
-    Reference implementation (per-node Python loop), kept verbatim behind
-    ``compute_metrics(..., vectorized=False)``; the distance matrix comes
-    from the legacy per-source BFS so the whole path is the original one.
-    """
-    n = graph.num_qubits
-    if n < 2:
-        return 0.0, 0.0, 0.0
-    dist = graph.shortest_path_lengths(vectorized=False)
-    reachable = dist > 0
-    if not reachable.any():
-        return 0.0, 0.0, 0.0
-    distances = dist[reachable].astype(float)
-    avg_path = float(distances.mean())
-    diameter = float(distances.max())
-    closeness_values = []
-    for node in range(n):
-        row = dist[node]
-        targets = row > 0
-        count = int(targets.sum())
-        if count == 0:
-            closeness_values.append(0.0)
-            continue
-        # Wasserman-Faust closeness: scaled for disconnected graphs.
-        total = float(row[targets].sum())
-        closeness_values.append((count / (n - 1)) * (count / total))
-    return avg_path, diameter, float(np.mean(closeness_values))
-
-
-def _path_statistics_vectorized(dist: np.ndarray) -> Tuple[float, float, float]:
-    """Vectorised (avg shortest path, diameter, avg closeness).
 
     Operates on the all-pairs distance matrix directly; per-node counts
     and distance totals are row reductions, and the Wasserman-Faust
-    closeness formula is evaluated elementwise with the exact expression
-    of the reference loop, so the two paths agree bit for bit.
+    closeness (scaled for disconnected graphs) is evaluated elementwise
+    with the exact expression of the per-node reference loop, so the two
+    agree bit for bit.
     """
     n = dist.shape[0]
     if n < 2:
@@ -187,78 +156,15 @@ def _path_statistics_vectorized(dist: np.ndarray) -> Tuple[float, float, float]:
     return avg_path, diameter, float(np.mean(closeness_values))
 
 
-def _clustering_coefficient(graph: InteractionGraph) -> float:
-    """Average local clustering coefficient (unweighted)."""
-    n = graph.num_qubits
-    if n == 0:
-        return 0.0
-    coefficients = []
-    for node in range(n):
-        neighbors = sorted(graph.neighbors(node))
-        k = len(neighbors)
-        if k < 2:
-            coefficients.append(0.0)
-            continue
-        links = sum(
-            1
-            for i in range(k)
-            for j in range(i + 1, k)
-            if graph.has_edge(neighbors[i], neighbors[j])
-        )
-        coefficients.append(2.0 * links / (k * (k - 1)))
-    return float(np.mean(coefficients))
-
-
-def _betweenness(graph: InteractionGraph) -> Tuple[float, float]:
-    """(mean, max) betweenness centrality via Brandes' algorithm.
-
-    Unweighted, normalised by ``(n-1)(n-2)/2`` as for undirected graphs.
-    """
-    n = graph.num_qubits
-    if n < 3:
-        return 0.0, 0.0
-    centrality = np.zeros(n)
-    for source in range(n):
-        stack: List[int] = []
-        predecessors: List[List[int]] = [[] for _ in range(n)]
-        sigma = np.zeros(n)
-        sigma[source] = 1.0
-        dist = np.full(n, -1)
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            current = queue.popleft()
-            stack.append(current)
-            for neighbor in graph.neighbors(current):
-                if dist[neighbor] < 0:
-                    dist[neighbor] = dist[current] + 1
-                    queue.append(neighbor)
-                if dist[neighbor] == dist[current] + 1:
-                    sigma[neighbor] += sigma[current]
-                    predecessors[neighbor].append(current)
-        delta = np.zeros(n)
-        while stack:
-            node = stack.pop()
-            for pred in predecessors[node]:
-                delta[pred] += (sigma[pred] / sigma[node]) * (1.0 + delta[node])
-            if node != source:
-                centrality[node] += delta[node]
-    # Each undirected pair was counted twice.
-    centrality /= 2.0
-    scale = (n - 1) * (n - 2) / 2.0
-    centrality /= scale
-    return float(centrality.mean()), float(centrality.max())
-
-
-def _clustering_coefficient_vectorized(adjacency: np.ndarray) -> float:
+def _clustering_coefficient(adjacency: np.ndarray) -> float:
     """Average local clustering via triangle counting on ``diag(A^3)``.
 
     ``adjacency`` is the boolean (unweighted) adjacency matrix.  The
     closed triangles through node ``i`` are ``diag(A^3)[i] / 2`` — each
     neighbour-neighbour link contributes two length-3 closed walks — and
     the per-node coefficient is evaluated with the exact arithmetic of
-    the reference loop (``2.0 * links / (k * (k - 1))`` on exactly
-    representable integers), so both paths agree bit for bit.
+    the per-node reference loop (``2.0 * links / (k * (k - 1))`` on
+    exactly representable integers), so the two agree bit for bit.
     """
     n = adjacency.shape[0]
     if n == 0:
@@ -272,10 +178,11 @@ def _clustering_coefficient_vectorized(adjacency: np.ndarray) -> float:
     return float(np.mean(coefficients))
 
 
-def _betweenness_vectorized(adjacency: np.ndarray) -> Tuple[float, float]:
+def _betweenness(adjacency: np.ndarray) -> Tuple[float, float]:
     """(mean, max) betweenness centrality, level-synchronous Brandes.
 
-    ``adjacency`` is the boolean (unweighted) adjacency matrix.
+    ``adjacency`` is the boolean (unweighted) adjacency matrix; scores
+    are normalised by ``(n-1)(n-2)/2`` as for undirected graphs.
 
     Runs the forward BFS of Brandes' algorithm from *all* sources at
     once: row ``s`` of ``sigma``/``dist`` is the path-count/distance
@@ -384,17 +291,15 @@ def _weight_entropy(weights: np.ndarray) -> float:
     return float(entropy / math.log(len(weights)))
 
 
-def compute_metrics(
-    graph: InteractionGraph, vectorized: bool = True
-) -> GraphMetrics:
+def compute_metrics(graph: InteractionGraph) -> GraphMetrics:
     """Evaluate the full Table I metric suite on one interaction graph.
 
-    ``vectorized`` (the default) computes the graph-traversal metrics —
-    shortest paths/closeness, clustering, betweenness — as numpy array
-    code (level-synchronous all-sources BFS/Brandes, ``diag(A^3)``
-    triangle counting); ``False`` runs the original per-node Python
-    loops.  The two paths agree exactly on every metric except the
-    betweenness pair, which matches to ~1e-15 (float accumulation order).
+    The graph-traversal metrics — shortest paths/closeness, clustering,
+    betweenness — run as numpy array code (level-synchronous all-sources
+    BFS/Brandes, ``diag(A^3)`` triangle counting).  They match the
+    per-node loops of :func:`repro.fuzz.reference.reference_metrics`
+    exactly, except the :data:`BETWEENNESS_METRICS` pair, which matches
+    to ~1e-15 (float accumulation order).
     """
     n = graph.num_qubits
     adjacency = graph.adjacency_matrix()
@@ -414,20 +319,12 @@ def compute_metrics(
     weights = off_diagonal[nonzero]
     endpoint_a = upper_rows[nonzero]
     endpoint_b = upper_cols[nonzero]
-    if vectorized:
-        dist = _all_pairs_hops(adjacency_bool)
-        avg_path, diameter, closeness = _path_statistics_vectorized(dist)
-        betweenness_mean, betweenness_max = _betweenness_vectorized(
-            adjacency_bool
-        )
-        clustering = _clustering_coefficient_vectorized(adjacency_bool)
-        # Connected iff every pair is reachable in the hop matrix.
-        connected = bool((dist >= 0).all())
-    else:
-        avg_path, diameter, closeness = _path_statistics(graph)
-        betweenness_mean, betweenness_max = _betweenness(graph)
-        clustering = _clustering_coefficient(graph)
-        connected = graph.is_connected()
+    dist = _all_pairs_hops(adjacency_bool)
+    avg_path, diameter, closeness = _path_statistics(dist)
+    betweenness_mean, betweenness_max = _betweenness(adjacency_bool)
+    clustering = _clustering_coefficient(adjacency_bool)
+    # Connected iff every pair is reachable in the hop matrix.
+    connected = bool((dist >= 0).all())
     max_pairs = n * (n - 1) / 2.0
     # np.std is the square root of np.var on the same array, so the
     # variance reduction is computed once and reused for both fields.
@@ -462,61 +359,41 @@ def compute_metrics(
     )
 
 
-#: The only metrics whose vectorized/reference twins may differ by float
-#: accumulation order (level-synchronous vs stack-order Brandes); every
-#: other metric must agree bit for bit.  The fuzz harness' differential
-#: invariant keys its tolerances on this set.
+#: The only metrics on which :func:`compute_metrics` and the per-node
+#: reference may differ by float accumulation order (level-synchronous vs
+#: stack-order Brandes); every other metric must agree bit for bit.  The
+#: fuzz harness' differential invariant keys its tolerances on this set.
 BETWEENNESS_METRICS: Tuple[str, str] = ("betweenness_mean", "betweenness_max")
-
-
-def metrics_twin_deltas(graph: InteractionGraph) -> Dict[str, float]:
-    """Per-metric absolute deltas between the vectorized and reference paths.
-
-    Evaluates :func:`compute_metrics` twice on ``graph`` — once through
-    the numpy array code, once through the original per-node loops — and
-    returns ``{metric_name: |fast - slow|}``.  The contract the
-    differential fuzzer enforces: every delta is exactly ``0.0`` except
-    the :data:`BETWEENNESS_METRICS` pair, which must stay below ``1e-12``.
-    """
-    fast = compute_metrics(graph, vectorized=True).as_dict()
-    slow = compute_metrics(graph, vectorized=False).as_dict()
-    return {name: abs(fast[name] - slow[name]) for name in fast}
 
 
 #: Memoised per-circuit metric vectors, keyed on circuit content hash.
 #: Fig. 4/5 and Table I all profile the same decomposed circuits, so one
 #: suite sweep computes each profile once and every later experiment (or
 #: repeated call within a worker process) reuses it.
-_METRICS_CACHE: "OrderedDict[Tuple[str, bool], GraphMetrics]" = OrderedDict()
+_METRICS_CACHE: "OrderedDict[str, GraphMetrics]" = OrderedDict()
 _METRICS_CACHE_SIZE = 2048
 _METRICS_CACHE_STATS = {"hits": 0, "misses": 0}
 
 
-def circuit_graph_metrics(
-    circuit: Circuit, vectorized: bool = True, cache: bool = True
-) -> GraphMetrics:
+def circuit_graph_metrics(circuit: Circuit, cache: bool = True) -> GraphMetrics:
     """Metric suite of a circuit's interaction graph (memoised).
 
-    Results are cached on ``(circuit.content_hash(), vectorized)``; the
+    Results are cached on ``circuit.content_hash()``; the
     returned :class:`GraphMetrics` is frozen, so sharing one instance
     across callers is safe.  Mutating a circuit changes its content hash,
     which naturally invalidates its cache entry.  ``cache=False``
     bypasses the cache entirely (it neither reads nor stores).
     """
     if not cache:
-        return compute_metrics(
-            InteractionGraph.from_circuit(circuit), vectorized=vectorized
-        )
-    key = (circuit.content_hash(), vectorized)
+        return compute_metrics(InteractionGraph.from_circuit(circuit))
+    key = circuit.content_hash()
     cached = _METRICS_CACHE.get(key)
     if cached is not None:
         _METRICS_CACHE.move_to_end(key)
         _METRICS_CACHE_STATS["hits"] += 1
         return cached
     _METRICS_CACHE_STATS["misses"] += 1
-    metrics = compute_metrics(
-        InteractionGraph.from_circuit(circuit), vectorized=vectorized
-    )
+    metrics = compute_metrics(InteractionGraph.from_circuit(circuit))
     _METRICS_CACHE[key] = metrics
     if len(_METRICS_CACHE) > _METRICS_CACHE_SIZE:
         _METRICS_CACHE.popitem(last=False)

@@ -1,16 +1,19 @@
 """Differential fuzzing & metamorphic testing for the mapping stack.
 
-Every optimised hot path in this repository keeps its reference twin
-alive behind a flag (``SabreRouter(incremental=False)``,
-``verify_mapping(batched=False)``, ``compute_metrics(vectorized=False)``,
-``run_suite_parallel(workers=1)``).  This package hunts for inputs where
-the twins disagree — the regression class that silently corrupts the
-Fig. 3/5 reproductions — plus metamorphic properties that need no twin
-at all (relabeling invariance, commutation invariance, QASM round-trips,
-unitary preservation of mapping).
+SABRE routing, the equivalence oracle and the Table I metrics each run
+one optimised path; the implementations they replaced live on in
+:mod:`repro.fuzz.reference`, and suite runs can be repeated at another
+worker count (``run_suite_parallel(workers=1)`` vs ``workers=N``).  This
+package hunts for inputs where a path and its reference disagree — the
+regression class that silently corrupts the Fig. 3/5 reproductions —
+plus metamorphic properties that need no reference at all (relabeling
+invariance, commutation invariance, QASM round-trips, unitary
+preservation of mapping).
 
 * :mod:`repro.fuzz.generator` — seeded adversarial circuit + topology
   sampler (one :class:`FuzzSeed` reproduces any sample exactly).
+* :mod:`repro.fuzz.reference` — the reference implementations of
+  routing, the oracle and the metrics; only the bank and tests use them.
 * :mod:`repro.fuzz.invariants` — the invariant bank: differential and
   metamorphic oracles evaluated per sample.
 * :mod:`repro.fuzz.shrink` — delta-debugging minimizer (drop gates,

@@ -2,10 +2,11 @@
 
 Two families of checks run on every :class:`~repro.fuzz.generator.FuzzSample`:
 
-*Differential* — every optimised path against its live reference twin:
-incremental vs legacy SABRE routing, batched vs serial equivalence
-oracle, vectorized vs per-node Table I metrics, ``workers=1`` vs
-``workers=N`` suite records.
+*Differential* — every optimised path against the reference it
+replaced (:mod:`repro.fuzz.reference`): SABRE routing against the
+original copy-the-layout loop, the batched equivalence oracle against
+the serial trial loop, the vectorised Table I metrics against the
+per-node loops; plus ``workers=1`` vs ``workers=N`` suite records.
 
 *Metamorphic* — properties that need no second implementation: mapping
 preserves unitary semantics, routed circuits respect the coupling graph,
@@ -33,11 +34,11 @@ from ..compiler import (
     TrivialPlacement,
     decompose_circuit,
 )
-from ..compiler.routing import Router, RoutingResult
 from ..core.interaction import InteractionGraph
-from ..core.metrics import BETWEENNESS_METRICS, compute_metrics, metrics_twin_deltas
+from ..core.metrics import BETWEENNESS_METRICS, compute_metrics
 from ..metrics.fidelity import product_fidelity
 from .generator import FuzzSample
+from .reference import reference_metrics, reference_route, reference_verify
 
 __all__ = [
     "SkipInvariant",
@@ -50,11 +51,12 @@ __all__ = [
     "INVARIANT_NAMES",
 ]
 
-#: Builds the router pair under test: ``factory(seed, incremental)``.
-#: The self-test swaps in a deliberately broken incremental router here.
-RouterFactory = Callable[[Optional[int], bool], Router]
+#: Builds the router under test from a tie-break seed: ``factory(seed)``.
+#: The self-test swaps in a deliberately broken router here.
+RouterFactory = Callable[[Optional[int]], SabreRouter]
 
-#: Betweenness twins may differ by float accumulation order up to this.
+#: Betweenness may differ from the reference by float accumulation order
+#: up to this.
 _BETWEENNESS_ATOL = 1e-12
 
 #: Tolerance for metamorphic metric comparisons (relabeling changes the
@@ -66,8 +68,8 @@ class SkipInvariant(Exception):
     """Raised by a check whose sample lies outside the invariant's domain."""
 
 
-def _default_router_factory(seed: Optional[int], incremental: bool) -> Router:
-    return SabreRouter(seed=seed, incremental=incremental)
+def _default_router_factory(seed: Optional[int]) -> SabreRouter:
+    return SabreRouter(seed=seed)
 
 
 def _route_seed(sample: FuzzSample) -> int:
@@ -86,7 +88,7 @@ class Invariant:
 
 
 # ---------------------------------------------------------------------------
-# Differential invariants (optimised path vs reference twin)
+# Differential invariants (optimised path vs reference implementation)
 # ---------------------------------------------------------------------------
 
 class _RoutingMixin:
@@ -95,32 +97,30 @@ class _RoutingMixin:
     def __init__(self, router_factory: RouterFactory = _default_router_factory):
         self.router_factory = router_factory
 
-    @staticmethod
-    def _prepare(sample: FuzzSample) -> Tuple[Circuit, Layout]:
+    def _prepare(
+        self, sample: FuzzSample
+    ) -> Tuple[SabreRouter, Circuit, Layout]:
+        """A fresh router under test plus the decomposed circuit to route."""
         if sample.circuit.num_qubits > sample.device.num_qubits:
             raise SkipInvariant("circuit wider than device")
         circuit = decompose_circuit(sample.circuit, sample.device.gate_set)
         layout = Layout.trivial(circuit.num_qubits, sample.device.num_qubits)
-        return circuit, layout
-
-    def _route(self, sample: FuzzSample, incremental: bool) -> RoutingResult:
-        circuit, layout = self._prepare(sample)
-        router = self.router_factory(_route_seed(sample), incremental)
-        return router.route(circuit, sample.device, layout)
+        return self.router_factory(_route_seed(sample)), circuit, layout
 
 
 class SabreTwinInvariant(_RoutingMixin, Invariant):
-    """Incremental and legacy SABRE must emit identical routed circuits."""
+    """The router and the reference SABRE loop emit identical circuits."""
 
     name = "sabre_twin"
 
     def check(self, sample: FuzzSample) -> Optional[str]:
-        fast = self._route(sample, True)
-        slow = self._route(sample, False)
+        router, circuit, layout = self._prepare(sample)
+        fast = router.route(circuit, sample.device, layout)
+        slow = reference_route(router, circuit, sample.device, layout)
         if fast.swap_count != slow.swap_count:
             return (
-                f"swap counts diverge: incremental={fast.swap_count} "
-                f"legacy={slow.swap_count}"
+                f"swap counts diverge: router={fast.swap_count} "
+                f"reference={slow.swap_count}"
             )
         if fast.circuit != slow.circuit:
             for position, (a, b) in enumerate(
@@ -129,11 +129,11 @@ class SabreTwinInvariant(_RoutingMixin, Invariant):
                 if a != b:
                     return (
                         f"routed gates diverge at position {position}: "
-                        f"incremental={a} legacy={b}"
+                        f"router={a} reference={b}"
                     )
             return (
-                f"routed lengths diverge: incremental={len(fast.circuit)} "
-                f"legacy={len(slow.circuit)}"
+                f"routed lengths diverge: router={len(fast.circuit)} "
+                f"reference={len(slow.circuit)}"
             )
         if fast.final_layout != slow.final_layout:
             return "final layouts diverge"
@@ -146,7 +146,8 @@ class RoutedCouplingInvariant(_RoutingMixin, Invariant):
     name = "routed_coupling"
 
     def check(self, sample: FuzzSample) -> Optional[str]:
-        result = self._route(sample, True)
+        router, circuit, layout = self._prepare(sample)
+        result = router.route(circuit, sample.device, layout)
         coupling = sample.device.coupling
         for position, gate in enumerate(result.circuit):
             if gate.is_two_qubit and not coupling.are_adjacent(*gate.qubits):
@@ -177,38 +178,53 @@ class _MappingMixin:
             raise SkipInvariant("circuit wider than device")
         mapper = QuantumMapper(
             TrivialPlacement(),
-            self.router_factory(_route_seed(sample), True),
+            self.router_factory(_route_seed(sample)),
             name="fuzz",
         )
         return mapper.map(sample.circuit, sample.device)
 
 
 class OracleTwinInvariant(_MappingMixin, Invariant):
-    """Batched and serial equivalence oracles must agree on the verdict."""
+    """The batched oracle and the serial reference agree on the verdict."""
 
     name = "oracle_twin"
 
     def check(self, sample: FuzzSample) -> Optional[str]:
         result = self._map(sample)
+        seed = _route_seed(sample)
         try:
-            batched = result.verify(trials=2, seed=_route_seed(sample), batched=True)
-            serial = result.verify(trials=2, seed=_route_seed(sample), batched=False)
+            verdict = result.verify(trials=2, seed=seed)
         except ValueError as exc:  # too wide for the dense oracle
             raise SkipInvariant(str(exc)) from None
-        if batched != serial:
-            return f"oracle verdicts diverge: batched={batched} serial={serial}"
+        # The same compacted register MappingResult.verify hands the oracle.
+        compact, initial, final = result._compact()
+        expected = reference_verify(
+            result.original.without_directives(),
+            compact,
+            initial,
+            final,
+            trials=2,
+            seed=seed,
+        )
+        if verdict != expected:
+            return (
+                f"oracle verdicts diverge: oracle={verdict} "
+                f"reference={expected}"
+            )
         return None
 
 
 class MetricsTwinInvariant(Invariant):
-    """Vectorized Table I metrics must match the per-node reference."""
+    """Table I metrics must match the per-node reference loops."""
 
     name = "metrics_twin"
 
     def check(self, sample: FuzzSample) -> Optional[str]:
         graph = InteractionGraph.from_circuit(sample.circuit)
-        deltas = metrics_twin_deltas(graph)
-        for name, delta in deltas.items():
+        fast = compute_metrics(graph).as_dict()
+        slow = reference_metrics(graph).as_dict()
+        for name in fast:
+            delta = abs(fast[name] - slow[name])
             tolerance = _BETWEENNESS_ATOL if name in BETWEENNESS_METRICS else 0.0
             if delta > tolerance or math.isnan(delta):
                 return f"metric {name} diverges by {delta!r}"

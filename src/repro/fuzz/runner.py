@@ -7,9 +7,9 @@ QASM file plus a JSON sidecar (seed coordinates, invariant, message) so
 replays it exactly.
 
 :func:`planted_bug_selftest` is the harness's proof of life: it plants a
-deliberate off-by-one in the incremental router's tie-break, fuzzes a
-small block, and demands that the differential bank both *finds* the bug
-and *shrinks* it to a handful of gates.  A green self-test means a red
+deliberate off-by-one in the SABRE router's tie-break, fuzzes a small
+block, and demands that the differential bank both *finds* the bug and
+*shrinks* it to a handful of gates.  A green self-test means a red
 fuzz run is worth trusting.
 """
 
@@ -322,15 +322,15 @@ def planted_bug_selftest(
 ) -> FuzzReport:
     """Prove the harness finds and shrinks a real router bug.
 
-    Plants the off-by-one tie-break in the *incremental* router only, so
-    the ``sabre_twin`` differential invariant is the one that must fire.
+    Plants the off-by-one tie-break in the router under test; the
+    reference loop draws its tie-breaks through a plain router, so the
+    ``sabre_twin`` differential invariant is the one that must fire.
     Raises :class:`RuntimeError` unless at least one failure is found
     and at least one reproducer shrinks to ``<= 8`` gates.
     """
 
-    def buggy_factory(route_seed, incremental):
-        router_cls = _PlantedOffByOneRouter if incremental else SabreRouter
-        return router_cls(seed=route_seed, incremental=incremental)
+    def buggy_factory(route_seed):
+        return _PlantedOffByOneRouter(seed=route_seed)
 
     report = run_fuzz(
         seed=seed,

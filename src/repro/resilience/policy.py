@@ -102,7 +102,6 @@ def default_degradation_chain(
             decay_delta=router.decay_delta,
             decay_reset_interval=router.decay_reset_interval,
             seed=router.seed,
-            incremental=router.incremental,
             stall_limit=router.stall_limit,
         )
         steps.append(

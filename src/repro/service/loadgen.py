@@ -1,10 +1,11 @@
 """Deterministic mixed-priority load generation for the service.
 
-Shared by ``repro serve`` (self-driving demo mode) and
-``benchmarks/bench_service.py``: builds a seeded corpus of distinct
-circuits, samples a request stream with repeats (repeats are what the
-cross-request cache exists for), and drives the stream through a
-running service in bounded waves, collecting per-request latencies.
+Drives ``repro serve`` (self-driving demo mode): builds a seeded corpus
+of distinct circuits, samples a request stream with repeats (repeats are
+what the cross-request cache exists for), and drives the stream through
+a running service in bounded waves, collecting per-request latencies.
+The chaos harness, ``bench/serving.py`` and the tests reuse the corpus
+builder.
 
 Waves are the load generator's concurrency knob: each wave is submitted
 as a batch and gathered before the next, so repeated circuits usually
@@ -118,7 +119,7 @@ class LoadReport:
         return served / requests if requests else 0.0
 
     def summary(self) -> Dict:
-        """JSON-ready digest (what ``BENCH_service.json`` commits)."""
+        """JSON-ready digest (what ``repro serve`` prints)."""
         cache = self.stats.get("cache", {})
         return {
             "requests": self.num_requests,

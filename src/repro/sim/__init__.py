@@ -21,7 +21,6 @@ from .equivalence import (
     circuits_equivalent,
     states_equivalent,
     verify_mapping,
-    verify_mapping_twin,
 )
 from .noisy import NoisySimulator, SuccessRateEstimate, estimate_success_rate
 from .density import (
@@ -53,7 +52,6 @@ __all__ = [
     "circuits_equivalent",
     "states_equivalent",
     "verify_mapping",
-    "verify_mapping_twin",
     "NoisySimulator",
     "SuccessRateEstimate",
     "estimate_success_rate",

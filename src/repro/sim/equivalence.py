@@ -11,7 +11,7 @@ unassigned physical qubits returned to |0>.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -19,12 +19,7 @@ from ..circuit import Circuit
 from ..telemetry import metrics as telemetry_metrics
 from ..telemetry import tracing
 from ..telemetry.tracing import span
-from .statevector import (
-    Simulator,
-    random_product_state,
-    random_product_states,
-    run_batched,
-)
+from .statevector import random_product_states, run_batched
 from .unitary import circuit_unitary
 
 __all__ = [
@@ -32,7 +27,6 @@ __all__ = [
     "states_equivalent",
     "circuits_equivalent",
     "verify_mapping",
-    "verify_mapping_twin",
 ]
 
 
@@ -103,17 +97,6 @@ def _embed_states(
     return np.moveaxis(embedded, range(lead, lead + num_physical), destination)
 
 
-def _embed_virtual_state(
-    virtual_state: np.ndarray,
-    num_physical: int,
-    layout: Dict[int, int],
-) -> np.ndarray:
-    """Tensor one virtual state into a physical register (rest |0>)."""
-    return _embed_states(
-        virtual_state, num_physical, layout, virtual_state.ndim
-    )
-
-
 def verify_mapping(
     original: Circuit,
     mapped: Circuit,
@@ -122,9 +105,13 @@ def verify_mapping(
     trials: int = 3,
     seed: Optional[int] = 1234,
     atol: float = 1e-7,
-    batched: bool = True,
 ) -> bool:
     """Check that a mapped circuit faithfully implements the original.
+
+    All trials run through two batched, gate-fused simulations (one per
+    circuit).  The inputs are the same seeded draws a trial-by-trial loop
+    makes, so a seeded call returns the verdict of the serial reference
+    :func:`repro.fuzz.reference.reference_verify`.
 
     Parameters
     ----------
@@ -139,12 +126,6 @@ def verify_mapping(
         Number of random product-state inputs.  Product states span the
         full Hilbert space, so ``trials`` successes certify unitary
         equality up to numerical tolerance with overwhelming probability.
-    batched:
-        With the default ``True``, all trials run through two batched,
-        gate-fused simulations (one per circuit) instead of ``2*trials``
-        serial ones; a seeded call draws the exact same random inputs on
-        both paths and returns the same verdict.  ``False`` keeps the
-        original trial-by-trial loop.
 
     Returns
     -------
@@ -154,7 +135,6 @@ def verify_mapping(
     with span(
         "oracle.verify",
         trials=max(1, trials),
-        batched=batched,
         qubits=mapped.num_qubits,
     ) as sp:
         verdict = _verify_mapping_impl(
@@ -165,19 +145,32 @@ def verify_mapping(
             trials=trials,
             seed=seed,
             atol=atol,
-            batched=batched,
         )
         sp.set("verdict", verdict)
     if tracing.is_enabled():
-        labels = {
-            "path": "batched" if batched else "serial",
-            "verdict": "pass" if verdict else "fail",
-        }
+        labels = {"verdict": "pass" if verdict else "fail"}
         telemetry_metrics.counter("oracle_checks", **labels).inc()
         telemetry_metrics.histogram(
             "oracle_trials", buckets=(1, 2, 3, 5, 8, 13, 21), **labels
         ).observe(max(1, trials))
     return verdict
+
+
+def _check_layouts(
+    num_virtual: int,
+    num_physical: int,
+    initial_layout: Dict[int, int],
+    final_layout: Dict[int, int],
+) -> None:
+    """Reject registers and layouts the oracle cannot compare."""
+    if num_physical < num_virtual:
+        raise ValueError("mapped circuit has fewer qubits than the original")
+    for name, layout in (("initial", initial_layout), ("final", final_layout)):
+        images = [layout[v] for v in range(num_virtual)]
+        if len(set(images)) != len(images):
+            raise ValueError(f"{name} layout is not injective")
+        if any(not 0 <= p < num_physical for p in images):
+            raise ValueError(f"{name} layout leaves the physical register")
 
 
 def _verify_mapping_impl(
@@ -188,73 +181,24 @@ def _verify_mapping_impl(
     trials: int,
     seed: Optional[int],
     atol: float,
-    batched: bool,
 ) -> bool:
     num_virtual = original.num_qubits
     num_physical = mapped.num_qubits
-    if num_physical < num_virtual:
-        raise ValueError("mapped circuit has fewer qubits than the original")
-    for name, layout in (("initial", initial_layout), ("final", final_layout)):
-        images = [layout[v] for v in range(num_virtual)]
-        if len(set(images)) != len(images):
-            raise ValueError(f"{name} layout is not injective")
-        if any(not 0 <= p < num_physical for p in images):
-            raise ValueError(f"{name} layout leaves the physical register")
-
+    _check_layouts(num_virtual, num_physical, initial_layout, final_layout)
     original = original.without_directives()
     mapped = mapped.without_directives()
     rng = np.random.default_rng(seed)
     trials = max(1, trials)
-    if batched:
-        virtual_in = random_product_states(num_virtual, trials, rng)
-        virtual_out = run_batched(original, virtual_in)
-        physical_in = _embed_states(
-            virtual_in, num_physical, initial_layout, num_virtual
-        )
-        physical_out = run_batched(mapped, physical_in)
-        expected = _embed_states(
-            virtual_out, num_physical, final_layout, num_virtual
-        )
-        return all(
-            allclose_up_to_global_phase(physical_out[t], expected[t], atol=atol)
-            for t in range(trials)
-        )
-    simulator = Simulator(seed=0)
-    for _ in range(trials):
-        virtual_in = random_product_state(num_virtual, rng)
-        virtual_out = simulator.run(original, initial_state=virtual_in).state
-        physical_in = _embed_virtual_state(virtual_in, num_physical, initial_layout)
-        physical_out = simulator.run(mapped, initial_state=physical_in).state
-        expected = _embed_virtual_state(virtual_out, num_physical, final_layout)
-        if not allclose_up_to_global_phase(physical_out, expected, atol=atol):
-            return False
-    return True
-
-
-def verify_mapping_twin(
-    original: Circuit,
-    mapped: Circuit,
-    initial_layout: Dict[int, int],
-    final_layout: Dict[int, int],
-    trials: int = 3,
-    seed: Optional[int] = 1234,
-    atol: float = 1e-7,
-) -> Tuple[bool, bool]:
-    """Run both oracle paths and return ``(batched, serial)`` verdicts.
-
-    The batched path draws its random product-state inputs from the same
-    seeded stream as the serial loop, so for any circuit the two verdicts
-    are contractually identical; a mismatch is a bug in one of the oracle
-    implementations.  This is the differential hook the fuzz harness'
-    invariant bank calls — callers that only need one verdict should use
-    :func:`verify_mapping` directly.
-    """
-    batched = verify_mapping(
-        original, mapped, initial_layout, final_layout,
-        trials=trials, seed=seed, atol=atol, batched=True,
+    virtual_in = random_product_states(num_virtual, trials, rng)
+    virtual_out = run_batched(original, virtual_in)
+    physical_in = _embed_states(
+        virtual_in, num_physical, initial_layout, num_virtual
     )
-    serial = verify_mapping(
-        original, mapped, initial_layout, final_layout,
-        trials=trials, seed=seed, atol=atol, batched=False,
+    physical_out = run_batched(mapped, physical_in)
+    expected = _embed_states(
+        virtual_out, num_physical, final_layout, num_virtual
     )
-    return batched, serial
+    return all(
+        allclose_up_to_global_phase(physical_out[t], expected[t], atol=atol)
+        for t in range(trials)
+    )

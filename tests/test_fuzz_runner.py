@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.circuit import parse_qasm
-from repro.compiler import SabreRouter
 from repro.fuzz import (
     INVARIANT_NAMES,
     planted_bug_selftest,
@@ -40,9 +39,8 @@ class TestRunFuzz:
             assert name in text
 
     def test_failures_are_dumped_and_replayable(self, tmp_path):
-        def buggy(seed, incremental):
-            cls = _PlantedOffByOneRouter if incremental else SabreRouter
-            return cls(seed=seed, incremental=incremental)
+        def buggy(seed):
+            return _PlantedOffByOneRouter(seed=seed)
 
         report = run_fuzz(
             seed=2022,
@@ -68,9 +66,8 @@ class TestRunFuzz:
         assert sidecar["shrunk"]["gates_after"] <= sidecar["shrunk"]["gates_before"]
 
     def test_no_shrink_mode(self):
-        def buggy(seed, incremental):
-            cls = _PlantedOffByOneRouter if incremental else SabreRouter
-            return cls(seed=seed, incremental=incremental)
+        def buggy(seed):
+            return _PlantedOffByOneRouter(seed=seed)
 
         report = run_fuzz(
             seed=2022,

@@ -1,4 +1,4 @@
-"""Vectorised Table I metrics vs the reference path, and the metrics cache."""
+"""Vectorised Table I metrics vs the per-node reference, and the metrics cache."""
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from repro.core.metrics import (
     compute_metrics,
     metrics_cache_info,
 )
+from repro.fuzz.reference import _shortest_path_lengths, reference_metrics
 from repro.workloads.qaoa import qaoa_maxcut, random_maxcut_instance
 from repro.workloads.random_circuits import random_circuit
 
@@ -50,8 +51,12 @@ def grid_graph(rows, cols):
 
 
 def assert_paths_agree(graph):
-    reference = compute_metrics(graph, vectorized=False).as_dict()
-    vectorized = compute_metrics(graph, vectorized=True).as_dict()
+    assert_metrics_agree(
+        reference_metrics(graph).as_dict(), compute_metrics(graph).as_dict()
+    )
+
+
+def assert_metrics_agree(reference, vectorized):
     for name in METRIC_NAMES:
         ref, vec = reference[name], vectorized[name]
         if name.startswith("betweenness"):
@@ -123,8 +128,7 @@ class TestShortestPathLengths:
     def test_matrix_exactly_matches_per_source_bfs(self, seed):
         graph = random_graph(18, 0.15, seed)
         assert np.array_equal(
-            graph.shortest_path_lengths(vectorized=True),
-            graph.shortest_path_lengths(vectorized=False),
+            graph.shortest_path_lengths(), _shortest_path_lengths(graph)
         )
 
     def test_unreachable_pairs_are_minus_one(self):
@@ -162,12 +166,6 @@ class TestMetricsCache:
         assert after is not before
         assert after.num_edges >= before.num_edges
         assert metrics_cache_info()["misses"] == 2
-
-    def test_vectorized_flag_is_part_of_the_key(self):
-        circuit = random_circuit(4, 10, 0.5, seed=6)
-        circuit_graph_metrics(circuit, vectorized=True)
-        circuit_graph_metrics(circuit, vectorized=False)
-        assert metrics_cache_info() == {"size": 2, "hits": 0, "misses": 2}
 
     def test_cache_bypass(self):
         circuit = random_circuit(4, 10, 0.5, seed=7)

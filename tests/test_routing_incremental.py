@@ -1,12 +1,12 @@
-"""Incremental SABRE scoring path vs the verbatim legacy path.
+"""Incremental SABRE scoring vs the reference SABRE loop.
 
-The optimised router (``incremental=True``, the default) must be
-bit-for-bit equivalent to the pre-optimisation implementation kept
-behind ``incremental=False``: same routed circuit, same swap count,
-same final layout, for any circuit/device/seed combination.  These
-tests pin that equivalence on ring, grid and Surface-17 topologies,
-plus regression pins for the stall-fallback and decay-reset behaviour
-and for the distance-matrix caching layer.
+The router, which scores swap candidates by the delta of the two moved
+qubits, must be bit-for-bit equivalent to the pre-optimisation loop kept
+as :func:`repro.fuzz.reference.reference_route`: same routed circuit,
+same swap count, same final layout, for any circuit/device/seed
+combination.  These tests pin that equivalence on ring, grid and
+Surface-17 topologies, plus regression pins for the stall-fallback and
+decay-reset behaviour and for the distance-matrix caching layer.
 """
 
 import math
@@ -26,6 +26,7 @@ from repro.compiler.routing import (
     _DISTANCE_CACHE,
     clear_distance_cache,
 )
+from repro.fuzz.reference import reference_route
 from repro.hardware import (
     CNOT_GATESET,
     CouplingGraph,
@@ -46,12 +47,9 @@ DEVICES = [RING8, grid_device(4, 4), surface17_device()]
 
 def _route_both(router_cls, circuit, device, seed, **kwargs):
     layout = Layout.trivial(circuit.num_qubits, device.num_qubits)
-    fast = router_cls(seed=seed, incremental=True, **kwargs).route(
-        circuit, device, layout
-    )
-    slow = router_cls(seed=seed, incremental=False, **kwargs).route(
-        circuit, device, layout
-    )
+    router = router_cls(seed=seed, **kwargs)
+    fast = router.route(circuit, device, layout)
+    slow = reference_route(router, circuit, device, layout)
     return fast, slow
 
 
@@ -221,11 +219,11 @@ class TestDistanceMatrix:
         assert len(_DISTANCE_CACHE) <= 32
 
 
-class TestStatelessChooseSwap:
-    """The public one-off ``_choose_swap`` agrees across both paths."""
+class TestSurface17RandomCircuits:
+    """Whole routes of 60-gate random circuits on Surface-17 match."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_choose_swap_matches_naive(self, seed):
+    def test_routes_match_reference(self, seed):
         device = surface17_device()
         circuit = random_circuit(10, 60, 0.6, seed=seed)
         fast, slow = _route_both(SabreRouter, circuit, device, seed=seed)

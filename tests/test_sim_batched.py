@@ -1,4 +1,4 @@
-"""Batched oracle equivalence: batched simulation vs the serial path."""
+"""Batched oracle equivalence: batched simulation vs the serial reference."""
 
 import numpy as np
 import pytest
@@ -21,7 +21,8 @@ from repro.sim import (
     verify_mapping,
     zero_state,
 )
-from repro.sim.equivalence import _embed_states, _embed_virtual_state
+from repro.fuzz.reference import _embed_virtual_state, reference_verify
+from repro.sim.equivalence import _embed_states
 from repro.workloads.random_circuits import random_circuit
 
 
@@ -184,6 +185,10 @@ class TestEmbedding:
             )
 
 
+#: The batched oracle and the serial reference loop, compared below.
+ORACLES = (verify_mapping, reference_verify)
+
+
 class TestVerifyMappingBatched:
     @pytest.mark.parametrize("make_mapper", [trivial_mapper, sabre_mapper])
     def test_batched_agrees_with_serial_on_mapped_circuits(self, make_mapper):
@@ -191,8 +196,12 @@ class TestVerifyMappingBatched:
         for seed in (0, 1, 2):
             circuit = random_circuit(5, 30, 0.4, seed=seed)
             result = make_mapper().map(circuit, device)
-            assert result.verify(trials=4, seed=99, batched=True)
-            assert result.verify(trials=4, seed=99, batched=False)
+            assert result.verify(trials=4, seed=99)
+            # The reference sees the compacted register verify() builds.
+            compact, initial, final = result._compact()
+            assert reference_verify(
+                result.original, compact, initial, final, trials=4, seed=99
+            )
 
     def test_wrong_mapping_rejected_on_both_paths(self):
         """A corrupted mapped circuit must fail identically on each path."""
@@ -201,15 +210,14 @@ class TestVerifyMappingBatched:
         result = trivial_mapper().map(circuit, device)
         broken = result.mapped.copy()
         broken.x(0)  # corrupt: extra gate the original never applies
-        for batched in (True, False):
-            assert not verify_mapping(
+        for oracle in ORACLES:
+            assert not oracle(
                 result.original,
                 broken,
                 result.initial_layout,
                 result.final_layout,
                 trials=4,
                 seed=99,
-                batched=batched,
             )
 
     def test_same_seed_same_inputs_across_paths(self):
@@ -217,11 +225,8 @@ class TestVerifyMappingBatched:
         circuit = _ghz(3)
         mapped = _ghz(3)
         layout = {0: 0, 1: 1, 2: 2}
-        for batched in (True, False):
-            assert verify_mapping(
-                circuit, mapped, layout, layout, trials=5, seed=17,
-                batched=batched,
-            )
+        for oracle in ORACLES:
+            assert oracle(circuit, mapped, layout, layout, trials=5, seed=17)
 
     def test_permuted_readout_verified(self):
         """The final layout, not the identity, defines correctness."""
@@ -232,13 +237,9 @@ class TestVerifyMappingBatched:
         mapped.h(1)
         mapped.cx(1, 0)
         swapped = {0: 1, 1: 0}
-        for batched in (True, False):
-            assert verify_mapping(
-                original, mapped, swapped, swapped, batched=batched
-            )
-            assert not verify_mapping(
-                original, mapped, {0: 0, 1: 1}, {0: 0, 1: 1}, batched=batched
-            )
+        for oracle in ORACLES:
+            assert oracle(original, mapped, swapped, swapped)
+            assert not oracle(original, mapped, {0: 0, 1: 1}, {0: 0, 1: 1})
 
 
 class TestSampleCounts:
@@ -272,7 +273,5 @@ class TestGlobalPhase:
         assert allclose_up_to_global_phase(
             circuit_unitary(phased), -circuit_unitary(original)
         )
-        for batched in (True, False):
-            assert verify_mapping(
-                original, phased, layout, layout, batched=batched
-            )
+        for oracle in ORACLES:
+            assert oracle(original, phased, layout, layout)
