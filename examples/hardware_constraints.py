@@ -1,4 +1,4 @@
-"""Hardware constraints end to end: crosstalk, shared control, pulses.
+"""Hardware constraints end to end: crosstalk and shared control.
 
 Maps a parallel-heavy Ising-grid simulation circuit onto the 17-qubit
 surface chip, then explores the bottom layers of the stack:
@@ -7,14 +7,12 @@ surface chip, then explores the bottom layers of the stack:
 2. shared-control constrained schedule (limited simultaneous CZs),
 3. crosstalk-free schedule (no adjacent simultaneous CZs),
 
-comparing latency and crosstalk-penalised fidelity for each, and finally
-lowering the winning schedule to analog control pulses.
+comparing latency and crosstalk-penalised fidelity for each.
 
 Run:  python examples/hardware_constraints.py
 """
 
 from repro.compiler import asap_schedule, sabre_mapper
-from repro.fullstack import compile_to_pulses
 from repro.metrics import crosstalk_fidelity, crosstalk_overlaps
 from repro.hardware import surface17_device
 from repro.workloads import ising_grid
@@ -55,25 +53,6 @@ def main() -> None:
             f"{name:22s} {schedule.latency_ns:10.0f} "
             f"{schedule.parallelism():9.2f} {overlaps:11d} {fidelity:9.4f}"
         )
-
-    best = variants["crosstalk-free"]
-    pulses = compile_to_pulses(best, device.calibration)
-    print(
-        f"\npulse program: {pulses.num_pulses} pulses on "
-        f"{len(pulses.channels())} channels, {pulses.duration_ns:.0f} ns, "
-        f"{pulses.total_samples()} waveform samples"
-    )
-    busiest = max(pulses.channels(), key=pulses.channel_occupancy)
-    print(
-        f"busiest channel: {busiest} "
-        f"({pulses.channel_occupancy(busiest):.0%} occupied)"
-    )
-    first = pulses.pulses[0]
-    print(
-        f"first pulse: {first.label} on {first.channel} at {first.start_ns:.0f} ns, "
-        f"peak {first.waveform.peak:.2f}, {len(first.waveform.samples)} samples"
-    )
-    print(f"collision free: {not pulses.has_collisions()}")
 
 
 if __name__ == "__main__":

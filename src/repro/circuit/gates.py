@@ -39,7 +39,6 @@ __all__ = [
     "gate_inverse",
     "gates_commute",
     "is_directive",
-    "is_diagonal_gate",
     "SELF_INVERSE_GATES",
     "DIAGONAL_GATES",
     "TWO_QUBIT_GATE_NAMES",
@@ -486,10 +485,6 @@ class Gate:
 
 def is_directive(gate: Gate) -> bool:
     return gate.is_directive
-
-
-def is_diagonal_gate(gate: Gate) -> bool:
-    return gate.is_diagonal
 
 
 #: LRU cache of gate matrices keyed on ``(name, params)``.  Parameter-free

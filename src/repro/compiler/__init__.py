@@ -25,7 +25,6 @@ from .routing import (
     TrivialRouter,
 )
 from .exact import ExactRouter, optimal_swap_count
-from .pass_manager import PassManager, PassRecord, PassTranscript
 from .scheduling import Schedule, ScheduledGate, alap_schedule, asap_schedule
 from .optimize import (
     cancel_inverse_pairs,
@@ -63,9 +62,6 @@ __all__ = [
     "TrivialRouter",
     "ExactRouter",
     "optimal_swap_count",
-    "PassManager",
-    "PassRecord",
-    "PassTranscript",
     "Schedule",
     "ScheduledGate",
     "alap_schedule",

@@ -27,8 +27,6 @@ from .codesign import (
     routing_difficulty,
     spearman_correlation,
 )
-from .temporal import TemporalProfile, temporal_profile, time_sliced_graphs
-from .device_design import TopologyReport, best_topology_for, explore_topologies
 
 __all__ = [
     "InteractionGraph",
@@ -57,10 +55,4 @@ __all__ = [
     "MapperAdvisor",
     "routing_difficulty",
     "spearman_correlation",
-    "TemporalProfile",
-    "temporal_profile",
-    "time_sliced_graphs",
-    "TopologyReport",
-    "best_topology_for",
-    "explore_topologies",
 ]

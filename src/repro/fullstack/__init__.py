@@ -2,16 +2,6 @@
 
 from .isa import Bundle, Instruction, IsaProgram, compile_to_isa
 from .control import ControlConstraintViolation, ControlModel
-from .pulses import (
-    Pulse,
-    PulseSchedule,
-    Waveform,
-    compile_to_pulses,
-    drag_envelope,
-    flat_top_envelope,
-    gaussian_envelope,
-    square_envelope,
-)
 from .stack import ExecutionReport, FullStack
 
 __all__ = [
@@ -21,14 +11,6 @@ __all__ = [
     "compile_to_isa",
     "ControlConstraintViolation",
     "ControlModel",
-    "Pulse",
-    "PulseSchedule",
-    "Waveform",
-    "compile_to_pulses",
-    "drag_envelope",
-    "flat_top_envelope",
-    "gaussian_envelope",
-    "square_envelope",
     "ExecutionReport",
     "FullStack",
 ]

@@ -37,7 +37,6 @@ from .device import (
     surface17_extended_device,
     surface7_device,
 )
-from .config import device_from_json, device_to_json, load_device, save_device
 from .drift import (
     CalibrationDelta,
     CalibrationStream,
@@ -85,8 +84,4 @@ __all__ = [
     "surface17_device",
     "surface17_extended_device",
     "surface7_device",
-    "device_from_json",
-    "device_to_json",
-    "load_device",
-    "save_device",
 ]

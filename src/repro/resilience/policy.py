@@ -19,7 +19,7 @@ Two declarative pieces the resilience engine executes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -117,8 +117,3 @@ def default_degradation_chain(
     if not isinstance(router, TrivialRouter):
         steps.append(DegradationStep("trivial", trivial_mapper()))
     return steps
-
-
-def chain_names(steps: Sequence[DegradationStep]) -> List[str]:
-    """Step names in order (for reports and telemetry labels)."""
-    return [step.name for step in steps]

@@ -19,7 +19,6 @@ from .unitary import circuit_unitary, permutation_unitary
 from .equivalence import (
     allclose_up_to_global_phase,
     circuits_equivalent,
-    states_equivalent,
     verify_mapping,
 )
 from .noisy import NoisySimulator, SuccessRateEstimate, estimate_success_rate
@@ -50,7 +49,6 @@ __all__ = [
     "permutation_unitary",
     "allclose_up_to_global_phase",
     "circuits_equivalent",
-    "states_equivalent",
     "verify_mapping",
     "NoisySimulator",
     "SuccessRateEstimate",

@@ -24,7 +24,6 @@ from .unitary import circuit_unitary
 
 __all__ = [
     "allclose_up_to_global_phase",
-    "states_equivalent",
     "circuits_equivalent",
     "verify_mapping",
 ]
@@ -46,11 +45,6 @@ def allclose_up_to_global_phase(
     if abs(magnitude - 1.0) > max(atol, 1e-6):
         return False
     return bool(np.allclose(a, phase * b, atol=atol))
-
-
-def states_equivalent(a: np.ndarray, b: np.ndarray, atol: float = 1e-8) -> bool:
-    """Alias for global-phase-insensitive state comparison."""
-    return allclose_up_to_global_phase(a, b, atol=atol)
 
 
 def circuits_equivalent(

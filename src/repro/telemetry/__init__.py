@@ -49,12 +49,10 @@ from .metrics import (
 from .tracing import (
     SpanRecord,
     configure,
-    drain_spans,
     get_export_dir,
     ingest,
     is_enabled,
     reset,
-    snapshot_spans,
     span,
     traced,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "clock",
     "configure",
     "counter",
-    "drain_spans",
     "export",
     "export_all",
     "gauge",
@@ -83,7 +80,6 @@ __all__ = [
     "metrics",
     "reset",
     "session",
-    "snapshot_spans",
     "span",
     "traced",
     "tracing",

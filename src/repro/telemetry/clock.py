@@ -1,15 +1,15 @@
 """The stack's single timing clock.
 
-Every timing path in the repository — pass transcripts, suite wall
-times, telemetry spans — reads this module's :func:`now` so the whole
-stack agrees on one *monotonic* clock.  ``time.time()`` is wall-clock
-time and can jump backwards under NTP adjustment, which silently
-corrupts durations; ``time.perf_counter()`` is monotonic with the
-highest available resolution, which is exactly what span durations and
-benchmark deltas need.
+Every timing path in the repository — suite wall times, telemetry
+spans — reads this module's :func:`now` so the whole stack agrees on
+one *monotonic* clock.  ``time.time()`` is wall-clock time and can jump
+backwards under NTP adjustment, which silently corrupts durations;
+``time.perf_counter()`` is monotonic with the highest available
+resolution, which is exactly what span durations and benchmark deltas
+need.
 
 :data:`CLOCK_SOURCE` names the clock in exported records so a reader of
-a transcript or trace file knows what the numbers mean.
+a trace file knows what the numbers mean.
 """
 
 from __future__ import annotations

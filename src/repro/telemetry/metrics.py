@@ -1,11 +1,11 @@
 """Metrics registry: counters, gauges and fixed-bucket histograms.
 
 Metrics are named, labelled time-series aggregates — ``swaps_inserted``
-by router, ``oracle_trials`` as a histogram, ``pass_gate_delta`` by pass
-name.  A :class:`MetricsRegistry` holds one family per metric name and
-one series per distinct label set; registries snapshot to plain dicts
-(JSON-ready, picklable across worker processes) and merge snapshots
-back, which is how per-worker metrics flow into the parent's registry.
+by router, ``oracle_trials`` as a histogram.  A :class:`MetricsRegistry`
+holds one family per metric name and one series per distinct label set;
+registries snapshot to plain dicts (JSON-ready, picklable across worker
+processes) and merge snapshots back, which is how per-worker metrics
+flow into the parent's registry.
 
 Like tracing, the module-level helpers (:func:`counter`, :func:`gauge`,
 :func:`histogram`) are gated on the telemetry switch and hand out one

@@ -42,8 +42,6 @@ __all__ = [
     "configure",
     "is_enabled",
     "get_export_dir",
-    "snapshot_spans",
-    "drain_spans",
     "reset",
     "capture",
     "ingest",
@@ -263,20 +261,6 @@ def is_enabled() -> bool:
 
 def get_export_dir() -> Optional[Path]:
     return _STATE.export_dir
-
-
-def snapshot_spans() -> List[SpanRecord]:
-    """Copy of the finished-span buffer (oldest first)."""
-    with _STATE.lock:
-        return list(_STATE.records)
-
-
-def drain_spans() -> List[SpanRecord]:
-    """Return and clear the finished-span buffer."""
-    with _STATE.lock:
-        records = list(_STATE.records)
-        _STATE.records.clear()
-    return records
 
 
 def reset() -> None:

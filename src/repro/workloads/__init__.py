@@ -42,12 +42,6 @@ from .trotter import (
     two_local_trotter,
 )
 from .io import load_suite, save_suite
-from .reporting import SuiteSummary, format_suite_summary, summarize_suite
-from .mirror import (
-    mirror_circuit,
-    mirror_expected_bits,
-    mirror_success_probability,
-)
 
 __all__ = [
     "random_circuit",
@@ -86,10 +80,4 @@ __all__ = [
     "two_local_trotter",
     "load_suite",
     "save_suite",
-    "SuiteSummary",
-    "format_suite_summary",
-    "summarize_suite",
-    "mirror_circuit",
-    "mirror_expected_bits",
-    "mirror_success_probability",
 ]

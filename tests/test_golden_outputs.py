@@ -3,9 +3,10 @@
 ``golden/outputs.json`` holds fixed expected values, never regenerated
 from the code under test:
 
-* per-circuit SABRE and noise-aware swap counts for a 30-circuit suite
-  (up to 54 qubits, 2000 gates) routed onto the 100-qubit extended
-  Surface-17 from the trivial layout;
+* per-circuit trivial, SABRE and noise-aware swap counts for a
+  30-circuit suite (up to 54 qubits, 2000 gates) routed onto the
+  100-qubit extended Surface-17 from the trivial layout (the trivial
+  router is the paper's mapper behind Figs. 3 and 5);
 * state-vector oracle verdicts for 18 small circuits mapped by the
   trivial mapper onto a 4x4 grid;
 * the full Table I metric vector of ten 20-54 qubit interaction graphs.
@@ -17,11 +18,18 @@ implementations in :mod:`repro.fuzz.reference`.
 """
 
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from repro.compiler import Layout, NoiseAwareRouter, SabreRouter, decompose_circuit
+from repro.compiler import (
+    Layout,
+    NoiseAwareRouter,
+    SabreRouter,
+    TrivialRouter,
+    decompose_circuit,
+)
 from repro.compiler.mapper import trivial_mapper
 from repro.core.interaction import InteractionGraph, interaction_graph
 from repro.core.metrics import compute_metrics
@@ -42,7 +50,14 @@ GOLDEN = json.loads((Path(__file__).parent / "golden" / "outputs.json").read_tex
 
 SUITE_SEED = 2022
 ROUTER_SEED = 11
-ROUTERS = {"sabre": SabreRouter, "noise_aware": NoiseAwareRouter}
+#: Router factories by golden key; a fresh router routes each circuit.
+ROUTERS = {
+    "trivial": TrivialRouter,
+    "sabre": partial(SabreRouter, seed=ROUTER_SEED),
+    "noise_aware": partial(NoiseAwareRouter, seed=ROUTER_SEED),
+}
+#: Routers with a reference implementation in repro.fuzz.reference.
+REFERENCE_ROUTERS = ["sabre", "noise_aware"]
 #: Leading circuits of the routing suite also routed by the reference.
 ROUTING_REFERENCE_CIRCUITS = 10
 
@@ -91,14 +106,14 @@ def routed(routing_suite):
     device, _, circuits = routing_suite
     return {
         key: [
-            router_cls(seed=ROUTER_SEED).route(
+            make_router().route(
                 circuit,
                 device,
                 Layout.trivial(circuit.num_qubits, device.num_qubits),
             )
             for circuit in circuits
         ]
-        for key, router_cls in ROUTERS.items()
+        for key, make_router in ROUTERS.items()
     }
 
 
@@ -109,14 +124,14 @@ class TestRoutingGolden:
         swaps = {name: r.swap_count for name, r in zip(names, routed[key])}
         assert swaps == GOLDEN["swaps"][key]
 
-    @pytest.mark.parametrize("key", ROUTERS)
+    @pytest.mark.parametrize("key", REFERENCE_ROUTERS)
     def test_leading_circuits_match_reference(self, routing_suite, routed, key):
         device, _, circuits = routing_suite
         for circuit, fast in list(zip(circuits, routed[key]))[
             :ROUTING_REFERENCE_CIRCUITS
         ]:
             slow = reference_route(
-                ROUTERS[key](seed=ROUTER_SEED),
+                ROUTERS[key](),
                 circuit,
                 device,
                 Layout.trivial(circuit.num_qubits, device.num_qubits),

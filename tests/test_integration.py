@@ -21,8 +21,8 @@ from repro import (
 )
 from repro.compiler import asap_schedule
 from repro.experiments import records_to_csv, run_suite
-from repro.fullstack import compile_to_isa, compile_to_pulses
-from repro.hardware import load_device, save_device, surface17_extended_device
+from repro.fullstack import compile_to_isa
+from repro.hardware import surface17_extended_device
 from repro.metrics import product_fidelity
 from repro.workloads import (
     evaluation_suite,
@@ -31,7 +31,6 @@ from repro.workloads import (
     qaoa_maxcut,
     random_maxcut_instance,
     save_suite,
-    summarize_suite,
 )
 
 
@@ -57,23 +56,6 @@ class TestCorpusRoundtripPipeline:
         path = records_to_csv(records, tmp_path / "results.csv")
         assert path.read_text().count("\n") == len(records) + 1
 
-    def test_summary_of_persisted_suite(self, tmp_path):
-        suite = evaluation_suite(num_circuits=6, seed=2, max_qubits=10, max_gates=60)
-        save_suite(suite, tmp_path / "corpus")
-        summary = summarize_suite(load_suite(tmp_path / "corpus"))
-        assert summary.num_circuits == 6
-
-
-class TestDeviceConfigPipeline:
-    def test_custom_device_file_drives_the_stack(self, tmp_path):
-        """Describe a chip in JSON, load it, run the full stack on it."""
-        path = save_device(surface17_device(), tmp_path / "chip.json")
-        device = load_device(path)
-        stack = FullStack(device, mapper=sabre_mapper())
-        report = stack.execute(ghz_state(4), shots=100, seed=0)
-        assert report.mapping.verify()
-        assert sum(report.counts.values()) == 100
-
 
 class TestFullStackConsistency:
     def test_isa_matches_schedule(self):
@@ -84,14 +66,6 @@ class TestFullStackConsistency:
         # Instruction count = schedule entries minus barriers.
         expected = sum(1 for e in schedule.entries if e.gate.name != "barrier")
         assert program.num_instructions == expected
-
-    def test_pulses_match_schedule_span(self):
-        device = surface17_device()
-        result = sabre_mapper().map(ghz_state(5), device)
-        schedule = result.schedule()
-        pulses = compile_to_pulses(schedule, device.calibration)
-        assert pulses.duration_ns <= schedule.latency_ns + 1e-9
-        assert not pulses.has_collisions()
 
     def test_control_constraint_consistency(self):
         """ControlModel's checker agrees with the constrained scheduler."""
