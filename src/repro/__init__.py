@@ -84,8 +84,9 @@ from .resilience import (
 )
 from .fullstack import ControlModel, FullStack
 from .sim import Simulator, statevector, verify_mapping
-from . import telemetry
-from .telemetry import span, traced
+# Package-level conveniences kept outside ``__all__``.
+from . import telemetry  # noqa: F401
+from .telemetry import span, traced  # noqa: F401
 
 __version__ = "1.0.0"
 

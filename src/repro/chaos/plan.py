@@ -40,7 +40,7 @@ miss — a fault spec on a cache hit would never fire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -15,7 +15,7 @@ import struct
 from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .gates import Gate, gate_inverse, resolve_alias
+from .gates import _DIRECTIVES, Gate, gate_inverse, resolve_alias
 
 __all__ = ["Circuit", "CircuitError"]
 
@@ -274,13 +274,31 @@ class Circuit:
         ``count_directives=False`` (the default) they and measure/reset do
         not add a level of their own but still order later gates.
         """
-        level: Dict[int, int] = {}
+        return self.gates_and_depth(count_directives)[1]
+
+    def gates_and_depth(self, count_directives: bool = False) -> Tuple[int, int]:
+        """``(num_gates, depth(count_directives))`` from one walk."""
+        level = [0] * self.num_qubits
+        proper = 0
         for gate in self._gates:
-            start = max((level.get(q, 0) for q in gate.qubits), default=0)
-            advance = 1 if (count_directives or not gate.is_directive) else 0
-            for q in gate.qubits:
-                level[q] = start + advance if advance else max(level.get(q, 0), start)
-        return max(level.values(), default=0)
+            qubits = gate.qubits
+            if len(qubits) == 1:
+                start = level[qubits[0]]
+            elif len(qubits) == 2:
+                start = max(level[qubits[0]], level[qubits[1]])
+            else:
+                start = max([level[q] for q in qubits], default=0)
+            if gate.name in _DIRECTIVES:
+                if not count_directives:
+                    for q in qubits:
+                        level[q] = start
+                    continue
+            else:
+                proper += 1
+            start += 1
+            for q in qubits:
+                level[q] = start
+        return proper, max(level, default=0)
 
     def moments(self) -> List[List[Gate]]:
         """Greedy ASAP layering of the circuit.

@@ -448,7 +448,7 @@ class Gate:
         no interaction, so they never contribute to interaction graphs nor
         require routing.
         """
-        return self.num_qubits == 2 and not self.is_directive
+        return len(self.qubits) == 2 and self.name not in _DIRECTIVES
 
     @property
     def is_diagonal(self) -> bool:
@@ -481,6 +481,30 @@ class Gate:
             pars = ", ".join(f"{p:g}" for p in self.params)
             return f"{self.name}({pars}) {args}"
         return f"{self.name} {args}"
+
+
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _derived_gate(
+    name: str, qubits: Tuple[int, ...], params: Tuple[float, ...] = ()
+) -> Gate:
+    """Build a :class:`Gate` without re-running its validation.
+
+    For compiler passes only, and only where every part comes from a gate
+    that already passed validation: ``name`` is a known kind with the
+    arity and parameter count of ``qubits``/``params``, ``qubits`` is a
+    tuple of distinct Python ``int`` and ``params`` a tuple of Python
+    ``float``.  The rewrite rules, the routers' remapping and SWAP
+    emission qualify; input parsing and generators use ``Gate(...)``.
+    The result equals ``Gate(name, qubits, params)`` field for field.
+    """
+    gate = _new_object(Gate)
+    _set_field(gate, "name", name)
+    _set_field(gate, "qubits", qubits)
+    _set_field(gate, "params", params)
+    return gate
 
 
 def is_directive(gate: Gate) -> bool:

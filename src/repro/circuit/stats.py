@@ -53,10 +53,13 @@ class SizeParameters:
 
 def size_parameters(circuit: Circuit) -> SizeParameters:
     """Compute the :class:`SizeParameters` of ``circuit``."""
+    num_gates, depth = circuit.gates_and_depth()
+    num_two_qubit_gates = circuit.num_two_qubit_gates
     return SizeParameters(
         num_qubits=len(circuit.used_qubits()),
-        num_gates=circuit.num_gates,
-        num_two_qubit_gates=circuit.num_two_qubit_gates,
-        two_qubit_fraction=circuit.two_qubit_fraction,
-        depth=circuit.depth(),
+        num_gates=num_gates,
+        num_two_qubit_gates=num_two_qubit_gates,
+        # Circuit.two_qubit_fraction, without walking the circuit again.
+        two_qubit_fraction=num_two_qubit_gates / num_gates if num_gates else 0.0,
+        depth=depth,
     )

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from ..circuit import Circuit
-from ..circuit.gates import Gate, gate_matrix
+from ..circuit.gates import Gate, _derived_gate, gate_matrix
 from ..hardware.gateset import GateSet
 
 __all__ = ["DecompositionError", "decompose_circuit", "decompose_gate", "zyz_angles"]
@@ -104,32 +104,37 @@ def _synthesize_1q(gate: Gate, gate_set: GateSet) -> List[Gate]:
 
 # ---------------------------------------------------------------------------
 # Multi-qubit rewrite rules (into CNOT + 1q form)
+#
+# Every part of a rule's output comes from the already-valid input gate
+# (its qubits, its float parameters, halved or negated) or is a constant
+# of the right arity, so the rules build through ``_derived_gate`` and
+# skip re-validation.
 # ---------------------------------------------------------------------------
 
 def _rule_swap(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
-    return [Gate("cx", (a, b)), Gate("cx", (b, a)), Gate("cx", (a, b))]
+    return [_derived_gate("cx", (a, b)), _derived_gate("cx", (b, a)), _derived_gate("cx", (a, b))]
 
 
 def _rule_cz_to_cx(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
-    return [Gate("h", (b,)), Gate("cx", (a, b)), Gate("h", (b,))]
+    return [_derived_gate("h", (b,)), _derived_gate("cx", (a, b)), _derived_gate("h", (b,))]
 
 
 def _rule_cx_to_cz(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
-    return [Gate("h", (b,)), Gate("cz", (a, b)), Gate("h", (b,))]
+    return [_derived_gate("h", (b,)), _derived_gate("cz", (a, b)), _derived_gate("h", (b,))]
 
 
 def _rule_iswap(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
     return [
-        Gate("s", (a,)),
-        Gate("s", (b,)),
-        Gate("h", (a,)),
-        Gate("cx", (a, b)),
-        Gate("cx", (b, a)),
-        Gate("h", (b,)),
+        _derived_gate("s", (a,)),
+        _derived_gate("s", (b,)),
+        _derived_gate("h", (a,)),
+        _derived_gate("cx", (a, b)),
+        _derived_gate("cx", (b, a)),
+        _derived_gate("h", (b,)),
     ]
 
 
@@ -141,11 +146,11 @@ def _rule_cp(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
     lam = gate.params[0]
     return [
-        Gate("p", (a,), (lam / 2.0,)),
-        Gate("cx", (a, b)),
-        Gate("p", (b,), (-lam / 2.0,)),
-        Gate("cx", (a, b)),
-        Gate("p", (b,), (lam / 2.0,)),
+        _derived_gate("p", (a,), (lam / 2.0,)),
+        _derived_gate("cx", (a, b)),
+        _derived_gate("p", (b,), (-lam / 2.0,)),
+        _derived_gate("cx", (a, b)),
+        _derived_gate("p", (b,), (lam / 2.0,)),
     ]
 
 
@@ -153,10 +158,10 @@ def _rule_crz(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
     lam = gate.params[0]
     return [
-        Gate("rz", (b,), (lam / 2.0,)),
-        Gate("cx", (a, b)),
-        Gate("rz", (b,), (-lam / 2.0,)),
-        Gate("cx", (a, b)),
+        _derived_gate("rz", (b,), (lam / 2.0,)),
+        _derived_gate("cx", (a, b)),
+        _derived_gate("rz", (b,), (-lam / 2.0,)),
+        _derived_gate("cx", (a, b)),
     ]
 
 
@@ -164,50 +169,50 @@ def _rule_cry(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
     theta = gate.params[0]
     return [
-        Gate("ry", (b,), (theta / 2.0,)),
-        Gate("cx", (a, b)),
-        Gate("ry", (b,), (-theta / 2.0,)),
-        Gate("cx", (a, b)),
+        _derived_gate("ry", (b,), (theta / 2.0,)),
+        _derived_gate("cx", (a, b)),
+        _derived_gate("ry", (b,), (-theta / 2.0,)),
+        _derived_gate("cx", (a, b)),
     ]
 
 
 def _rule_crx(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
     return (
-        [Gate("h", (b,))]
-        + _rule_crz(Gate("crz", (a, b), gate.params))
-        + [Gate("h", (b,))]
+        [_derived_gate("h", (b,))]
+        + _rule_crz(_derived_gate("crz", (a, b), gate.params))
+        + [_derived_gate("h", (b,))]
     )
 
 
 def _rule_ch(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
     return [
-        Gate("s", (b,)),
-        Gate("h", (b,)),
-        Gate("t", (b,)),
-        Gate("cx", (a, b)),
-        Gate("tdg", (b,)),
-        Gate("h", (b,)),
-        Gate("sdg", (b,)),
+        _derived_gate("s", (b,)),
+        _derived_gate("h", (b,)),
+        _derived_gate("t", (b,)),
+        _derived_gate("cx", (a, b)),
+        _derived_gate("tdg", (b,)),
+        _derived_gate("h", (b,)),
+        _derived_gate("sdg", (b,)),
     ]
 
 
 def _rule_rzz(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
     return [
-        Gate("cx", (a, b)),
-        Gate("rz", (b,), gate.params),
-        Gate("cx", (a, b)),
+        _derived_gate("cx", (a, b)),
+        _derived_gate("rz", (b,), gate.params),
+        _derived_gate("cx", (a, b)),
     ]
 
 
 def _rule_rxx(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
     return (
-        [Gate("h", (a,)), Gate("h", (b,))]
-        + _rule_rzz(Gate("rzz", (a, b), gate.params))
-        + [Gate("h", (a,)), Gate("h", (b,))]
+        [_derived_gate("h", (a,)), _derived_gate("h", (b,))]
+        + _rule_rzz(_derived_gate("rzz", (a, b), gate.params))
+        + [_derived_gate("h", (a,)), _derived_gate("h", (b,))]
     )
 
 
@@ -215,41 +220,41 @@ def _rule_ryy(gate: Gate) -> List[Gate]:
     a, b = gate.qubits
     half = math.pi / 2.0
     return (
-        [Gate("rx", (a,), (half,)), Gate("rx", (b,), (half,))]
-        + _rule_rzz(Gate("rzz", (a, b), gate.params))
-        + [Gate("rx", (a,), (-half,)), Gate("rx", (b,), (-half,))]
+        [_derived_gate("rx", (a,), (half,)), _derived_gate("rx", (b,), (half,))]
+        + _rule_rzz(_derived_gate("rzz", (a, b), gate.params))
+        + [_derived_gate("rx", (a,), (-half,)), _derived_gate("rx", (b,), (-half,))]
     )
 
 
 def _rule_ccx(gate: Gate) -> List[Gate]:
     a, b, c = gate.qubits
     return [
-        Gate("h", (c,)),
-        Gate("cx", (b, c)),
-        Gate("tdg", (c,)),
-        Gate("cx", (a, c)),
-        Gate("t", (c,)),
-        Gate("cx", (b, c)),
-        Gate("tdg", (c,)),
-        Gate("cx", (a, c)),
-        Gate("t", (b,)),
-        Gate("t", (c,)),
-        Gate("h", (c,)),
-        Gate("cx", (a, b)),
-        Gate("t", (a,)),
-        Gate("tdg", (b,)),
-        Gate("cx", (a, b)),
+        _derived_gate("h", (c,)),
+        _derived_gate("cx", (b, c)),
+        _derived_gate("tdg", (c,)),
+        _derived_gate("cx", (a, c)),
+        _derived_gate("t", (c,)),
+        _derived_gate("cx", (b, c)),
+        _derived_gate("tdg", (c,)),
+        _derived_gate("cx", (a, c)),
+        _derived_gate("t", (b,)),
+        _derived_gate("t", (c,)),
+        _derived_gate("h", (c,)),
+        _derived_gate("cx", (a, b)),
+        _derived_gate("t", (a,)),
+        _derived_gate("tdg", (b,)),
+        _derived_gate("cx", (a, b)),
     ]
 
 
 def _rule_ccz(gate: Gate) -> List[Gate]:
     a, b, c = gate.qubits
-    return [Gate("h", (c,)), Gate("ccx", (a, b, c)), Gate("h", (c,))]
+    return [_derived_gate("h", (c,)), _derived_gate("ccx", (a, b, c)), _derived_gate("h", (c,))]
 
 
 def _rule_cswap(gate: Gate) -> List[Gate]:
     c, a, b = gate.qubits
-    return [Gate("cx", (b, a)), Gate("ccx", (c, a, b)), Gate("cx", (b, a))]
+    return [_derived_gate("cx", (b, a)), _derived_gate("ccx", (c, a, b)), _derived_gate("cx", (b, a))]
 
 
 _CANONICAL_RULES = {
@@ -323,9 +328,27 @@ def decompose_circuit(circuit: Circuit, gate_set: GateSet) -> Circuit:
 
     Directives pass through unchanged; the result is unitarily equivalent
     to the input (up to global phase).
+
+    Each distinct parameter-free gate is lowered once per call and every
+    repeat reuses the same (immutable) output gates.  Parametrised gates
+    are lowered each time: ``Gate`` equality treats ``-0.0 == 0.0``, but
+    the two lower to parameters with different bit patterns.
     """
     out = Circuit(circuit.num_qubits, name=circuit.name)
+    # Lowered gates act on a subset of their input gate's qubits, so they
+    # stay inside the register without ``Circuit.append``'s check.
+    emitted = out._gates
+    supports = gate_set.supports
+    lowered: Dict[Tuple[str, Tuple[int, ...]], List[Gate]] = {}
     for gate in circuit:
-        for lowered in decompose_gate(gate, gate_set):
-            out.append(lowered)
+        if supports(gate):
+            emitted.append(gate)
+        elif gate.params:
+            emitted.extend(decompose_gate(gate, gate_set))
+        else:
+            key = (gate.name, gate.qubits)
+            expansion = lowered.get(key)
+            if expansion is None:
+                expansion = lowered[key] = decompose_gate(gate, gate_set)
+            emitted.extend(expansion)
     return out

@@ -51,7 +51,11 @@ class Layout:
         for p in images:
             if not 0 <= p < num_physical:
                 raise LayoutError(f"physical qubit {p} out of range")
-        self._v2p: List[int] = [virtual_to_physical[v] for v in range(num_virtual)]
+        # Stored as Python ints whatever the caller passed (placements
+        # score with numpy), so routed gates never carry numpy integers.
+        self._v2p: List[int] = [
+            int(virtual_to_physical[v]) for v in range(num_virtual)
+        ]
         self._p2v: List[Optional[int]] = [None] * num_physical
         for v, p in enumerate(self._v2p):
             self._p2v[p] = v

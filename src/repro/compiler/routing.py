@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..circuit import Circuit, CircuitDag, ExecutionFrontier
-from ..circuit.gates import Gate
+from ..circuit.gates import Gate, _derived_gate
 from ..hardware.device import Device
 from ..telemetry import metrics as telemetry_metrics
 from ..telemetry import tracing
@@ -239,8 +239,10 @@ class Router:
 
     @staticmethod
     def _remap(gate: Gate, layout: Layout) -> Gate:
-        return Gate(
-            gate.name, tuple(layout.physical(q) for q in gate.qubits), gate.params
+        # A valid gate on the layout's virtual register: its physical image
+        # is valid too (the layout is injective and holds Python ints).
+        return _derived_gate(
+            gate.name, tuple(map(layout._v2p.__getitem__, gate.qubits)), gate.params
         )
 
 
@@ -299,12 +301,12 @@ class TrivialRouter(Router):
                     deadline.check("route.trivial")
                 path = coupling.shortest_path(pa, pb)
                 for i in range(len(path) - 2):
-                    out.append(Gate("swap", (path[i], path[i + 1])))
+                    out.append(_derived_gate("swap", (path[i], path[i + 1])))
                     layout.swap_physical(path[i], path[i + 1])
                     swap_count += 1
                 pa = layout.physical(a)
                 pb = layout.physical(b)
-            out.append(Gate(gate.name, (pa, pb), gate.params))
+            out.append(_derived_gate(gate.name, (pa, pb), gate.params))
         return RoutingResult(
             out, initial, layout.as_dict(), swap_count, bridge_count
         )
@@ -318,10 +320,10 @@ def _bridge_cx(control: int, middle: int, target: int) -> List[Gate]:
     unchanged.
     """
     return [
-        Gate("cx", (middle, target)),
-        Gate("cx", (control, middle)),
-        Gate("cx", (middle, target)),
-        Gate("cx", (control, middle)),
+        _derived_gate("cx", (middle, target)),
+        _derived_gate("cx", (control, middle)),
+        _derived_gate("cx", (middle, target)),
+        _derived_gate("cx", (control, middle)),
     ]
 
 
@@ -509,7 +511,7 @@ class SabreRouter(Router):
                     layout.physical(gate.qubits[0]), layout.physical(gate.qubits[1])
                 )
                 for i in range(len(path) - 2):
-                    out.append(Gate("swap", (path[i], path[i + 1])))
+                    out.append(_derived_gate("swap", (path[i], path[i + 1])))
                     layout.swap_physical(path[i], path[i + 1])
                     swap_count += 1
                 rounds_since_progress = 0
@@ -528,7 +530,7 @@ class SabreRouter(Router):
             chosen = self._select(scores)
             best_swap = ordered[chosen]
             endpoints = moved[chosen]
-            out.append(Gate("swap", best_swap))
+            out.append(_derived_gate("swap", best_swap))
             layout.swap_physical(*best_swap)
             swap_count += 1
             decay[best_swap[0]] += self.decay_delta

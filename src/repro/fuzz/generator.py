@@ -17,7 +17,7 @@ on which SWAP heuristics of this family are known to be fragile.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 

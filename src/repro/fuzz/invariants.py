@@ -9,7 +9,8 @@ the serial trial loop, the vectorised Table I metrics against the
 per-node loops; plus ``workers=1`` vs ``workers=N`` suite records.
 
 *Metamorphic* — properties that need no second implementation: mapping
-preserves unitary semantics, routed circuits respect the coupling graph,
+preserves unitary semantics, every gate a mapping derives re-validates
+through the public constructor, routed circuits respect the coupling graph,
 metric vectors are invariant under qubit relabeling, the fidelity product
 is invariant under commuting-gate exchange, QASM serialisation
 round-trips.
@@ -26,13 +27,14 @@ import math
 import pickle
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..circuit import Circuit, parse_qasm, to_qasm
+from ..circuit import Circuit, Gate, parse_qasm, to_qasm
 from ..compiler import (
     Layout,
     QuantumMapper,
     SabreRouter,
     TrivialPlacement,
     decompose_circuit,
+    trivial_mapper,
 )
 from ..core.interaction import InteractionGraph
 from ..core.metrics import BETWEENNESS_METRICS, compute_metrics
@@ -251,6 +253,50 @@ class MappingSemanticsInvariant(_MappingMixin, Invariant):
         return None
 
 
+class DerivedGatesInvariant(_MappingMixin, Invariant):
+    """Every gate a mapping derives re-validates through ``Gate(...)``.
+
+    Decomposition and routing build gates from already-valid parts
+    without re-running validation; each must equal its public-constructor
+    twin and hold Python ``int`` qubits and ``float`` parameters.  Maps
+    with the bank's router and with :func:`trivial_mapper`, whose SWAP
+    emission no other invariant reaches.
+    """
+
+    name = "derived_gates"
+
+    def check(self, sample: FuzzSample) -> Optional[str]:
+        results = (
+            self._map(sample),
+            trivial_mapper().map(sample.circuit, sample.device),
+        )
+        for result in results:
+            for stage in ("decomposed", "routed", "mapped"):
+                for position, gate in enumerate(getattr(result, stage)):
+                    problem = _revalidation_problem(gate)
+                    if problem is not None:
+                        return (
+                            f"{result.mapper_name} {stage} gate {position} "
+                            f"{gate.name}{gate.qubits}{gate.params}: {problem}"
+                        )
+        return None
+
+
+def _revalidation_problem(gate: Gate) -> Optional[str]:
+    """Why ``gate`` differs from ``Gate(name, qubits, params)``, if it does."""
+    try:
+        twin = Gate(gate.name, gate.qubits, gate.params)
+    except (KeyError, ValueError) as exc:
+        return f"rejected by Gate(...): {exc}"
+    if gate != twin:
+        return f"differs from its validated twin {twin}"
+    if any(type(q) is not int for q in gate.qubits):
+        return "qubits are not all Python ints"
+    if any(type(p) is not float for p in gate.params):
+        return "params are not all Python floats"
+    return None
+
+
 class RelabelMetricsInvariant(Invariant):
     """Metric vectors are invariant under qubit relabeling (isomorphism)."""
 
@@ -388,6 +434,7 @@ def default_bank(
         OracleTwinInvariant(router_factory),
         MetricsTwinInvariant(),
         MappingSemanticsInvariant(router_factory),
+        DerivedGatesInvariant(router_factory),
         RelabelMetricsInvariant(),
         CommutationFidelityInvariant(),
         QasmRoundTripInvariant(),

@@ -19,7 +19,7 @@ shrinker in an invalid region.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..circuit import Circuit, Gate
 from .generator import FuzzSample, minimal_device

@@ -111,22 +111,25 @@ class Calibration:
     # ------------------------------------------------------------------
     def gate_error(self, gate: Gate) -> float:
         """Error probability of one gate application on physical qubits."""
-        if gate.name == "barrier":
+        name = gate.name
+        if name == "barrier":
             return 0.0
-        if gate.name == "measure":
+        if name == "measure" or name == "reset":
             return self.measurement_error
-        if gate.name == "reset":
-            return self.measurement_error
-        if gate.num_qubits == 1:
-            return self.qubit_errors.get(gate.qubits[0], self.single_qubit_error)
-        if gate.num_qubits == 2:
-            return self.edge_error(*gate.qubits)
+        qubits = gate.qubits
+        arity = len(qubits)
+        if arity == 1:
+            return self.qubit_errors.get(qubits[0], self.single_qubit_error)
+        if arity == 2:
+            return self.edge_error(*qubits)
         # Multi-qubit primitives cost like their CNOT decomposition; a
         # Toffoli needs six two-qubit gates.
         return min(0.999999, 6.0 * self.two_qubit_error)
 
     def edge_error(self, a: int, b: int) -> float:
         """Error probability of a two-qubit gate on physical qubits ``a, b``."""
+        if not self.edge_errors:  # skip building the frozenset key
+            return self.two_qubit_error
         return self.edge_errors.get(frozenset((a, b)), self.two_qubit_error)
 
     def gate_fidelity(self, gate: Gate) -> float:

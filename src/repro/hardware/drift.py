@@ -27,7 +27,7 @@ tracks the live epoch; ``drift_updates_total`` counts applied deltas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,

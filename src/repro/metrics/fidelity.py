@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Tuple
 
 from ..circuit import Circuit
 from ..hardware.calibration import Calibration, SURFACE17_CALIBRATION
@@ -27,6 +27,39 @@ __all__ = [
     "FidelityReport",
     "fidelity_report",
 ]
+
+
+def _fidelity_walk(
+    circuit: Circuit, calibration: Calibration, include_measurement: bool
+) -> Tuple[float, float]:
+    """One walk over ``circuit``: ``(product, log-sum)`` of gate fidelities.
+
+    The product skips barriers, and measure/reset unless
+    ``include_measurement``; the log-sum always skips all three
+    directives.  A gate fidelity ``<= 0`` turns the log-sum into
+    ``-inf`` while the product goes on multiplying.
+    """
+    gate_error = calibration.gate_error
+    product = 1.0
+    total = 0.0
+    zero = False
+    for gate in circuit:
+        name = gate.name
+        if name == "barrier":
+            continue
+        if name == "measure" or name == "reset":
+            if include_measurement:
+                product *= 1.0 - gate_error(gate)
+            continue
+        fidelity = 1.0 - gate_error(gate)
+        product *= fidelity
+        if zero:
+            continue
+        if fidelity <= 0.0:
+            zero = True
+        else:
+            total += math.log(fidelity)
+    return product, -math.inf if zero else total
 
 
 def product_fidelity(
@@ -48,14 +81,7 @@ def product_fidelity(
         error (the paper's model counts only one- and two-qubit gates,
         so the default is off).
     """
-    fidelity = 1.0
-    for gate in circuit:
-        if gate.name == "barrier":
-            continue
-        if gate.name in ("measure", "reset") and not include_measurement:
-            continue
-        fidelity *= calibration.gate_fidelity(gate)
-    return fidelity
+    return _fidelity_walk(circuit, calibration, include_measurement)[0]
 
 
 def log_fidelity(
@@ -66,15 +92,7 @@ def log_fidelity(
     The product underflows to zero beyond a few thousand two-qubit gates;
     sums of logs stay meaningful for the paper's 100000-gate circuits.
     """
-    total = 0.0
-    for gate in circuit:
-        if gate.name in ("barrier", "measure", "reset"):
-            continue
-        fidelity = calibration.gate_fidelity(gate)
-        if fidelity <= 0.0:
-            return -math.inf
-        total += math.log(fidelity)
-    return total
+    return _fidelity_walk(circuit, calibration, False)[1]
 
 
 def fidelity_decrease(
@@ -184,9 +202,12 @@ def fidelity_report(
     after: Circuit,
     calibration: Calibration = SURFACE17_CALIBRATION,
 ) -> FidelityReport:
+    """Product and log fidelity of both circuits, one walk per circuit."""
+    fidelity_before, log_before = _fidelity_walk(before, calibration, False)
+    fidelity_after, log_after = _fidelity_walk(after, calibration, False)
     return FidelityReport(
-        fidelity_before=product_fidelity(before, calibration),
-        fidelity_after=product_fidelity(after, calibration),
-        log_fidelity_before=log_fidelity(before, calibration),
-        log_fidelity_after=log_fidelity(after, calibration),
+        fidelity_before=fidelity_before,
+        fidelity_after=fidelity_after,
+        log_fidelity_before=log_before,
+        log_fidelity_after=log_after,
     )

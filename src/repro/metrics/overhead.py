@@ -89,12 +89,15 @@ def gate_overhead(before: Circuit, after: Circuit) -> float:
 def overhead_report(
     before: Circuit, after: Circuit, swap_count: int = 0, bridge_count: int = 0
 ) -> OverheadReport:
-    """Build an :class:`OverheadReport` for a mapping step."""
+    """Build an :class:`OverheadReport` for a mapping step (one walk per
+    circuit counts the proper gates and the depth together)."""
+    gates_before, depth_before = before.gates_and_depth()
+    gates_after, depth_after = after.gates_and_depth()
     return OverheadReport(
-        gates_before=before.num_gates,
-        gates_after=after.num_gates,
-        depth_before=before.depth(),
-        depth_after=after.depth(),
+        gates_before=gates_before,
+        gates_after=gates_after,
+        depth_before=depth_before,
+        depth_after=depth_after,
         swap_count=swap_count,
         bridge_count=bridge_count,
     )

@@ -28,10 +28,17 @@ _RAISE_AT, _SLEEP_AT, _KILL_AT, _CRASH_AT = 1, 2, 3, 4
 def fault_recovery_selftest(
     workers: int = 2,
     num_circuits: int = 8,
-    deadline_s: float = 0.25,
+    deadline_s: float = 1.0,
     journal_dir: Optional[Path] = None,
 ) -> List[str]:
     """Assert every recovery path fires; returns the checked-path log.
+
+    ``deadline_s`` is the per-attempt budget.  Only the ``sleep`` fault
+    may exhaust it (it sleeps past whatever budget remains), so the
+    default sits far above any real attempt on these small circuits: the
+    slowest took about 0.13 s on two workers with three busy processes
+    competing for two cores.  A tight budget would let a slow host
+    degrade a clean attempt and break the byte-identical resume.
 
     Raises :class:`RuntimeError` on the first recovery path that did not
     behave as planned.

@@ -264,8 +264,9 @@ class CompilationService:
     def submit(self, request: CompileRequest) -> Job:
         """Admit one request; raises
         :class:`~repro.service.queue.AdmissionError` under overload."""
-        if not self._running:
-            raise ServiceError("service is not running")
+        # Draining is checked first: a finished drain also stops the
+        # service, and a client racing it must still get the typed
+        # rejection (nothing clears the flag afterwards).
         if self._draining:
             telemetry_metrics.counter(
                 "service_admission_rejects_total", reason="draining"
@@ -274,6 +275,8 @@ class CompilationService:
                 "service is draining: admission is closed, in-flight "
                 "work is finishing; resubmit to another instance"
             )
+        if not self._running:
+            raise ServiceError("service is not running")
         request.validate()
         self._device(request.device)  # resolve + create the stream
         with self._drift_lock:
