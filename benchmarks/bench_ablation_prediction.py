@@ -8,15 +8,12 @@ the profile-driven MapperAdvisor makes sane choices.
 """
 
 import numpy as np
-import pytest
 
 from repro.core import (
     MapperAdvisor,
     PAPER_RETAINED_METRICS,
     routing_difficulty,
-    spearman_correlation,
 )
-from repro.experiments import paper_configuration
 
 
 def test_difficulty_score_predicts_overhead(benchmark, paper_records):

@@ -7,7 +7,6 @@ compared against the empirical success rate of stochastic Pauli-error
 trajectories through the dense simulator.
 """
 
-import numpy as np
 import pytest
 
 from repro.core import spearman_correlation

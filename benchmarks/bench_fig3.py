@@ -6,7 +6,6 @@ the two-qubit-gate share, fidelity decrease grows with overhead, and
 synthetic circuits pay more than real algorithms.
 """
 
-import pytest
 
 from repro.experiments import fig3_data, fig3_summary, format_fig3
 

@@ -5,7 +5,6 @@ population, asserting that the paper's retained set {average shortest
 path, max degree, min degree, adjacency std} survives the reduction.
 """
 
-from repro.core import PAPER_RETAINED_METRICS
 from repro.experiments import format_table1, run_table1
 
 

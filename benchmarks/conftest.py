@@ -23,9 +23,9 @@ SUITE_SIZE = 200
 
 
 def _suite_workers():
-    """Worker count for the sweep: REPRO_WORKERS=N enables the parallel
-    runner (0/unset keeps the classic serial loop)."""
-    return workers_from_env()
+    """Worker count for the sweep: REPRO_WORKERS=N fans it out over N
+    processes; unset, it maps inline."""
+    return workers_from_env(default=1)
 
 
 @pytest.fixture(scope="session")

@@ -25,17 +25,11 @@ from pathlib import Path
 from typing import List, Optional
 
 from .circuit import Circuit, draw as draw_circuit, parse_qasm
-from .compiler import noise_aware_mapper, sabre_mapper, trivial_mapper
+from .compiler.mapper import MAPPERS
 from .core import MapperAdvisor, profile_circuit, routing_difficulty
 from .hardware import Device, resolve_device
 
 __all__ = ["main", "build_parser"]
-
-_MAPPERS = {
-    "trivial": trivial_mapper,
-    "sabre": sabre_mapper,
-    "noise-aware": noise_aware_mapper,
-}
 
 
 def _resolve_device(spec: str) -> Device:
@@ -92,7 +86,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
         )
         result = advisor.map(circuit, device)
     else:
-        result = _MAPPERS[args.mapper]().map(circuit, device)
+        result = MAPPERS[args.mapper]().map(circuit, device)
     print(f"device:        {device.name} ({device.num_qubits} qubits)")
     print(f"mapper:        {result.mapper_name}")
     print(
@@ -164,7 +158,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     circuit = _load_circuit(args.circuit)
     device = _resolve_device(args.device)
-    mapper = _MAPPERS[args.mapper]()
+    mapper = MAPPERS[args.mapper]()
     with telemetry.session(export_dir=args.out) as tele:
         result = mapper.map(circuit, device)
         if args.verify:
@@ -244,7 +238,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise SystemExit("--resume requires --journal")
     suite = load_suite(args.corpus)
     device = _resolve_device(args.device)
-    mapper = _MAPPERS[args.mapper]()
+    mapper = MAPPERS[args.mapper]()
     faults = FaultPlan.parse(args.faults) if args.faults else None
     policy = None
     if args.retries is not None:
@@ -440,7 +434,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
     suite = load_suite(args.corpus)
     device = _resolve_device(args.device)
-    mapper = _MAPPERS[args.mapper]()
+    mapper = MAPPERS[args.mapper]()
     print(
         f"mapping {len(suite)} circuits from {args.corpus} "
         f"onto {device.name} with {args.mapper} ...",
@@ -519,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     mapping.add_argument(
         "--mapper",
         default="sabre",
-        choices=sorted(_MAPPERS) + ["advisor"],
+        choices=sorted(MAPPERS) + ["advisor"],
     )
     mapping.add_argument(
         "--draw", action="store_true", help="print the mapped circuit"
@@ -542,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="surface7|surface17|surface100|surface:N|line:N|grid:RxC",
     )
     trace.add_argument(
-        "--mapper", default="sabre", choices=sorted(_MAPPERS)
+        "--mapper", default="sabre", choices=sorted(MAPPERS)
     )
     trace.add_argument(
         "--out",
@@ -630,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="surface17",
         help="surface7|surface17|surface100|surface:N|line:N|grid:RxC",
     )
-    run.add_argument("--mapper", default="sabre", choices=sorted(_MAPPERS))
+    run.add_argument("--mapper", default="sabre", choices=sorted(MAPPERS))
     run.add_argument(
         "--deadline-s",
         type=float,
@@ -692,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="surface17",
         help="surface7|surface17|surface100|surface:N|line:N|grid:RxC",
     )
-    serve.add_argument("--mapper", default="sabre", choices=sorted(_MAPPERS))
+    serve.add_argument("--mapper", default="sabre", choices=sorted(MAPPERS))
     serve.add_argument(
         "-j",
         "--workers",
@@ -768,15 +762,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("corpus", help="directory written by 'repro suite'")
     report.add_argument("--device", default="surface100")
-    report.add_argument("--mapper", default="trivial", choices=sorted(_MAPPERS))
+    report.add_argument("--mapper", default="trivial", choices=sorted(MAPPERS))
     report.add_argument("-o", "--output", help="markdown output path")
     report.add_argument("--csv", help="also dump per-circuit records as CSV")
     report.add_argument(
         "-j",
         "--workers",
         type=int,
-        default=None,
-        help="map circuits across N worker processes (default: serial)",
+        default=1,
+        help="map circuits across N worker processes (default: 1, inline)",
     )
     report.set_defaults(handler=_cmd_report)
 
@@ -788,8 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-j",
         "--workers",
         type=int,
-        default=None,
-        help="map circuits across N worker processes (default: serial)",
+        default=1,
+        help="map circuits across N worker processes (default: 1, inline)",
     )
     reproduce.set_defaults(handler=_reproduce)
 

@@ -25,6 +25,7 @@ from ..circuit import Circuit
 from ..hardware.device import Device
 from ..metrics.fidelity import FidelityReport, fidelity_report
 from ..metrics.overhead import OverheadReport, overhead_report
+from ..telemetry import tracing
 from ..telemetry.tracing import span
 from .decompose import decompose_circuit
 from .optimize import optimize_circuit
@@ -43,6 +44,7 @@ __all__ = [
     "trivial_mapper",
     "sabre_mapper",
     "noise_aware_mapper",
+    "MAPPERS",
 ]
 
 _VERIFY_QUBIT_LIMIT = 14
@@ -102,7 +104,10 @@ class MappingResult:
 
     def schedule(self, max_parallel_2q: Optional[int] = None) -> Schedule:
         """ASAP schedule of the mapped circuit on the device calibration."""
-        with span("map.schedule", gates=self.mapped.num_gates):
+        with span(
+            "map.schedule",
+            gates=self.mapped.num_gates if tracing.is_enabled() else None,
+        ):
             return asap_schedule(
                 self.mapped,
                 self.device.calibration,
@@ -210,7 +215,8 @@ class QuantumMapper:
             "map.run",
             mapper=self.name,
             qubits=circuit.num_qubits,
-            gates=circuit.num_gates,
+            # Counting gates walks the circuit; only a traced run reads it.
+            gates=circuit.num_gates if tracing.is_enabled() else None,
             device=device.name,
         ):
             with span("map.decompose"):
@@ -268,3 +274,12 @@ def noise_aware_mapper(
         optimize_output=optimize_output,
         name="noise-aware",
     )
+
+
+#: The named mapper factories, by the name the CLI and the compilation
+#: service accept.
+MAPPERS = {
+    "trivial": trivial_mapper,
+    "sabre": sabre_mapper,
+    "noise-aware": noise_aware_mapper,
+}

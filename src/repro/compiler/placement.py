@@ -68,16 +68,21 @@ class TrivialPlacement(PlacementPass):
 
 
 class RandomPlacement(PlacementPass):
-    """Uniformly random placement (baseline / lower bound)."""
+    """Uniformly random placement (baseline / lower bound).
+
+    Every :meth:`place` call draws from a fresh generator seeded with
+    ``seed``, so one seeded pass gives a circuit the same layout whatever
+    it placed before; ``seed=None`` draws fresh entropy each call.
+    """
 
     name = "random"
 
     def __init__(self, seed: Optional[int] = None) -> None:
-        self._rng = np.random.default_rng(seed)
+        self.seed = seed
 
     def place(self, circuit: Circuit, device: Device) -> Layout:
         self._check_fit(circuit, device)
-        chosen = self._rng.choice(
+        chosen = np.random.default_rng(self.seed).choice(
             device.num_qubits, size=circuit.num_qubits, replace=False
         )
         return Layout(
@@ -340,7 +345,9 @@ class SabrePlacement(PlacementPass):
     iterations:
         Number of forward/backward round trips.
     seed:
-        Seed for the underlying routers and the initial random layout.
+        Tie-break seed of the underlying SABRE router; every forward and
+        backward route restarts from it.  The starting layout is
+        graph-similarity placement, which draws no random numbers.
     """
 
     name = "sabre-place"

@@ -195,15 +195,17 @@ class Router:
     ) -> RoutingResult:
         if deadline is not None:
             deadline.check(f"route.{self.name}")
+        traced = tracing.is_enabled()
         with span(
             f"route.{self.name}",
             qubits=circuit.num_qubits,
-            gates=circuit.num_gates,
+            # Counting gates walks the circuit; only a traced run reads it.
+            gates=circuit.num_gates if traced else None,
         ) as sp:
             result = self._route(circuit, device, layout, deadline=deadline)
             sp.set("swap_count", result.swap_count)
             sp.set("bridge_count", result.bridge_count)
-        if tracing.is_enabled():
+        if traced:
             labels = {"router": self.name}
             telemetry_metrics.counter("route_runs", **labels).inc()
             telemetry_metrics.counter("swaps_inserted", **labels).inc(
@@ -350,6 +352,8 @@ class SabreRouter(Router):
         after which decay factors reset.
     seed:
         Tie-breaking randomisation seed (ties are common on lattices).
+        Every :meth:`route` call draws from a fresh generator seeded
+        with it, so the router keeps no state between calls.
     stall_limit:
         Swap rounds without front-layer progress before the router falls
         back to deterministic shortest-path routing for the first blocked
@@ -387,7 +391,6 @@ class SabreRouter(Router):
         self.decay_reset_interval = decay_reset_interval
         self.stall_limit = stall_limit
         self.seed = seed
-        self._rng = np.random.default_rng(seed)
 
     # -- distance metric -------------------------------------------------
     def _build_distance_matrix(self, device: Device) -> np.ndarray:
@@ -429,6 +432,9 @@ class SabreRouter(Router):
         self, circuit: Circuit, device: Device, layout: Layout, deadline=None
     ) -> RoutingResult:
         self._validate(circuit, device, layout)
+        # A fresh generator per call: the route is a pure function of
+        # (circuit, device, layout, seed), never of earlier calls.
+        rng = np.random.default_rng(self.seed)
         coupling = device.coupling
         dist = self._distance_matrix(device)
         layout = layout.copy()
@@ -527,7 +533,7 @@ class SabreRouter(Router):
             scores, moved = self._score_candidates(
                 endpoints, ordered, num_front, len(extended), dist, decay
             )
-            chosen = self._select(scores)
+            chosen = self._select(scores, rng)
             best_swap = ordered[chosen]
             endpoints = moved[chosen]
             out.append(_derived_gate("swap", best_swap))
@@ -633,13 +639,14 @@ class SabreRouter(Router):
         scores = (decay[cand].max(axis=1) * cost).tolist()
         return scores, moved
 
-    def _select(self, scores: Sequence[float]) -> int:
-        """Running-threshold tie collection plus one RNG draw.
+    def _select(self, scores: Sequence[float], rng: np.random.Generator) -> int:
+        """Running-threshold tie collection plus one draw from ``rng``.
 
         :func:`repro.fuzz.reference.reference_route` draws its tie-breaks
         through this exact scan (including the 1e-12 threshold semantics
-        and a single ``rng.integers`` call per round), which is what
-        keeps the two routes aligned gate for gate.
+        and a single ``rng.integers`` call per round) from its own
+        generator seeded the same way, which is what keeps the two
+        routes aligned gate for gate.
         """
         best_score = math.inf
         best: List[int] = []
@@ -651,7 +658,7 @@ class SabreRouter(Router):
                 best.append(index)
         if not best:  # pragma: no cover - defensive
             raise RoutingError("no swap candidates on a blocked frontier")
-        return best[int(self._rng.integers(len(best)))]
+        return best[int(rng.integers(len(best)))]
 
 
 class NoiseAwareRouter(SabreRouter):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..circuit import SizeParameters, size_parameters
-from ..compiler.mapper import MappingResult, QuantumMapper, trivial_mapper
+from ..compiler.mapper import MappingResult, QuantumMapper
 from ..core.metrics import GraphMetrics, circuit_graph_metrics
 from ..hardware.device import Device, surface17_extended_device
 from ..workloads.suite import BenchmarkCircuit
@@ -165,7 +165,7 @@ def run_suite(
     device: Optional[Device] = None,
     mapper: Optional[QuantumMapper] = None,
     progress: Optional[Callable[[int, int, str], None]] = None,
-    workers: Optional[int] = None,
+    workers: int = 1,
 ) -> List[MappingRecord]:
     """Map every benchmark and collect the records.
 
@@ -173,44 +173,30 @@ def run_suite(
     bounded by the 100-qubit chip by construction; this guards ad-hoc
     suites).  ``progress`` receives ``(index, total, name)`` per circuit.
 
-    ``workers`` switches to the process-parallel runner of
-    :mod:`repro.runtime` with that many workers; each circuit is then
-    mapped by a pristine copy of the mapper (results independent of the
-    worker count) and a circuit whose mapping raises is reported at the
-    end instead of aborting the sweep.  ``None`` keeps the classic
-    serial loop, which threads one mapper (and its RNG) through all
-    circuits.
+    The sweep runs on :func:`repro.runtime.run_suite_parallel` with
+    ``workers`` processes (``1``, the default, maps inline).  A mapping
+    is a pure function of (circuit, device, seed), so the records do not
+    depend on the worker count.  A circuit whose mapping raises does not
+    abort the sweep: the failures are raised together at the end as one
+    :class:`RuntimeError`.
     """
-    device = device if device is not None else paper_configuration()
-    mapper = mapper if mapper is not None else trivial_mapper()
-    if workers is not None:
-        from ..runtime import run_suite_parallel
+    from ..runtime import run_suite_parallel
 
-        report = run_suite_parallel(
-            benchmarks,
-            device=device,
-            mapper=mapper,
-            workers=workers,
-            progress=progress,
+    report = run_suite_parallel(
+        benchmarks,
+        device=device,
+        mapper=mapper,
+        workers=workers,
+        progress=progress,
+    )
+    if report.failures:
+        details = "; ".join(
+            f"{f.name}: {f.error}" for f in report.failures[:5]
         )
-        if report.failures:
-            details = "; ".join(
-                f"{f.name}: {f.error}" for f in report.failures[:5]
-            )
-            raise RuntimeError(
-                f"{len(report.failures)} circuit(s) failed to map ({details})"
-            )
-        return report.records
-    records: List[MappingRecord] = []
-    total = len(benchmarks)
-    for index, benchmark in enumerate(benchmarks):
-        if benchmark.circuit.num_qubits > device.num_qubits:
-            continue
-        if progress is not None:
-            progress(index, total, benchmark.source)
-        result = mapper.map(benchmark.circuit, device)
-        records.append(_record(benchmark, result))
-    return records
+        raise RuntimeError(
+            f"{len(report.failures)} circuit(s) failed to map ({details})"
+        )
+    return report.records
 
 
 def records_to_csv(records: Sequence[MappingRecord], path) -> "Path":

@@ -56,14 +56,16 @@ def reference_route(
     Hyperparameters, the tie-break seed and the distance metric
     (``router._build_distance_matrix``) come from ``router``, so the
     reference covers :class:`~repro.compiler.routing.NoiseAwareRouter`
-    and test subclasses too.  Tie-breaks are drawn through a fresh plain
-    ``SabreRouter(seed=router.seed)``, never through ``router`` itself:
-    a bug planted in the router's ``_select`` cannot leak into the
-    reference.  ``router.route`` on a fresh router and this function
-    emit identical circuits, swap counts and layouts (ties included)
-    whenever the distance metric is integer-valued.
+    and test subclasses too.  Tie-breaks are drawn through a plain
+    ``SabreRouter``'s ``_select`` from a generator seeded with
+    ``router.seed``, never through ``router`` itself: a bug planted in
+    the router's ``_select`` cannot leak into the reference.
+    ``router.route`` and this function emit identical circuits, swap
+    counts and layouts (ties included) whenever the distance metric is
+    integer-valued.
     """
     picker = SabreRouter(seed=router.seed)
+    rng = np.random.default_rng(router.seed)
     picker._validate(circuit, device, layout)
     coupling = device.coupling
     dist = router._build_distance_matrix(device)
@@ -138,7 +140,7 @@ def reference_route(
                     front_gates, extended, trial, dist, router.lookahead_weight
                 )
             )
-        best_swap = candidates[picker._select(scores)]
+        best_swap = candidates[picker._select(scores, rng)]
         out.append(Gate("swap", best_swap))
         layout.swap_physical(*best_swap)
         swap_count += 1

@@ -302,7 +302,7 @@ class _PlantedOffByOneRouter(SabreRouter):
     of silent divergence the differential bank exists to catch.
     """
 
-    def _select(self, scores) -> int:
+    def _select(self, scores, rng) -> int:
         import math as _math
 
         best_score = _math.inf
@@ -313,7 +313,7 @@ class _PlantedOffByOneRouter(SabreRouter):
                 best = [index]
             elif abs(score - best_score) <= 1e-12:
                 best.append(index)
-        draw = int(self._rng.integers(len(best)))
+        draw = int(rng.integers(len(best)))
         return best[(draw + 1) % len(best)]  # planted bug
 
 

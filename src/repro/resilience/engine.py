@@ -10,11 +10,13 @@ expires.  The terminal step runs *without* a deadline — the trivial
 router cannot stall — so every circuit ends with a record, annotated
 with its attempt count and the router that ultimately produced it.
 
-Every attempt maps with a pristine pickled clone of the step's mapper,
-so a retry after a transient fault produces bit-for-bit the result a
-clean first attempt would have — the property that makes fault-injected
-and fault-free runs agree on every surviving circuit, and resumed runs
-byte-identical to uninterrupted ones.
+Every attempt maps with the step's own mapper.  A mapping is a pure
+function of (circuit, device, seed) — routers and placements seed a
+fresh generator inside each call — so a retry after a transient fault
+produces bit-for-bit the result a clean first attempt would have: the
+property that makes fault-injected and fault-free runs agree on every
+surviving circuit, and resumed runs byte-identical to uninterrupted
+ones.
 
 Telemetry counters (captured in-worker, merged by the suite runner like
 every other metric): ``retries_total``, ``fallbacks_total``,
@@ -23,7 +25,6 @@ every other metric): ``retries_total``, ``fallbacks_total``,
 
 from __future__ import annotations
 
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -126,11 +127,6 @@ class ResilienceExhausted(RuntimeError):
         self.info = info
 
 
-def _clone(mapper: QuantumMapper) -> QuantumMapper:
-    """Pristine copy per attempt (mirrors the suite runner's pickling)."""
-    return pickle.loads(pickle.dumps(mapper))
-
-
 def _count(name: str, **labels) -> None:
     if tracing.is_enabled():
         telemetry_metrics.counter(name, **labels).inc()
@@ -172,9 +168,7 @@ def map_with_resilience(
                     faults_injected += config.faults.fire(
                         circuit_index, "map", attempt_number, deadline
                     )
-                result = _clone(step.mapper).map(
-                    circuit, device, deadline=deadline
-                )
+                result = step.mapper.map(circuit, device, deadline=deadline)
                 if faults_injected:
                     _count("faults_injected_total")
                 return result, ResilienceInfo(

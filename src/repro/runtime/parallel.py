@@ -6,11 +6,14 @@ submission order**, regardless of completion order or worker count.
 
 Determinism contract
 --------------------
-Each payload is pickled once at submission time, so every task sees a
-pristine copy of its inputs — mutable state (e.g. a mapper's RNG) cannot
-leak between tasks.  The ``workers=1`` path runs in-process but routes
-every payload through the same pickle round-trip, which is what makes
-single-worker and multi-worker runs byte-identical.
+``fn`` must be a pure function of its payload and must not mutate it;
+every mapper meets this, because routers and placements seed a fresh
+generator inside each call.  The pool pickles each payload once at
+submission time.  The ``workers=1`` path runs in-process on the
+payloads as given and returns ``pickle.loads(pickle.dumps(value))`` —
+the value a pool worker would have shipped back, down to which objects
+it shares — which is what makes single-worker and multi-worker runs
+byte-identical.
 
 Failure handling
 ----------------
@@ -41,7 +44,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
 from ..telemetry import metrics as telemetry_metrics
@@ -194,6 +197,20 @@ def _run_item_blob(
     return _run_item(fn, index, pickle.loads(blob), attempts=attempts)
 
 
+def _observe_payloads(sizes: Sequence[int]) -> None:
+    """Record the pickled size of every payload of one call."""
+    payload_hist = telemetry_metrics.histogram(
+        "payload_bytes",
+        buckets=telemetry_metrics.BYTE_BUCKETS,
+        path="parallel_map",
+    )
+    for size in sizes:
+        payload_hist.observe(size)
+    telemetry_metrics.counter(
+        "serialized_bytes_total", path="parallel_map"
+    ).inc(sum(sizes))
+
+
 def parallel_map(
     fn: Callable[[Any], Any],
     payloads: Sequence[Any],
@@ -213,7 +230,8 @@ def parallel_map(
     workers:
         Process count; ``None`` uses ``os.cpu_count()``, values are
         clamped to ``[1, len(payloads)]``.  ``workers=1`` runs inline
-        (no pool) but with identical pickling semantics.
+        (no pool, no payload copies) and returns the values a pool
+        would.
     progress:
         Optional ``(done, total)`` callback, invoked in the parent as
         results are collected (in submission order).
@@ -252,24 +270,18 @@ def parallel_map(
             progress(outcome.index + 1, total)
 
     if workers == 1 or total == 0:
+        if telemetry_on and total:
+            # Sized exactly as the pool path ships them, so the payload
+            # metrics do not depend on the worker count.
+            _observe_payloads([len(pickle.dumps(p)) for p in payloads])
         outcomes = []
-        serialized_bytes = 0
         for index, payload in enumerate(payloads):
-            blob = pickle.dumps(payload)
-            serialized_bytes += len(blob)
-            if telemetry_on:
-                telemetry_metrics.histogram(
-                    "payload_bytes",
-                    buckets=telemetry_metrics.BYTE_BUCKETS,
-                    path="parallel_map",
-                ).observe(len(blob))
-            outcome = _run_item_blob(fn, index, blob)
+            outcome = _run_item(fn, index, payload)
+            outcome = replace(
+                outcome, value=pickle.loads(pickle.dumps(outcome.value))
+            )
             outcomes.append(outcome)
             _finish(outcome)
-        if telemetry_on and serialized_bytes:
-            telemetry_metrics.counter(
-                "serialized_bytes_total", path="parallel_map"
-            ).inc(serialized_bytes)
         return ParallelResult(outcomes, workers=1)
 
     # Pooled dispatch: pickle every payload exactly once, up front and
@@ -280,16 +292,7 @@ def parallel_map(
     serialize_elapsed = time.perf_counter() - serialize_start
     shipped_bytes = sum(len(blob) for blob in blobs)
     if telemetry_on:
-        payload_hist = telemetry_metrics.histogram(
-            "payload_bytes",
-            buckets=telemetry_metrics.BYTE_BUCKETS,
-            path="parallel_map",
-        )
-        for blob in blobs:
-            payload_hist.observe(len(blob))
-        telemetry_metrics.counter(
-            "serialized_bytes_total", path="parallel_map"
-        ).inc(shipped_bytes)
+        _observe_payloads([len(blob) for blob in blobs])
         telemetry_metrics.counter(
             "serialization_seconds_total", path="parallel_map", stage="pickle"
         ).inc(serialize_elapsed)

@@ -5,11 +5,12 @@ and returns a :class:`SuiteRunReport`: the mapping records in suite
 order, per-circuit wall times (with a per-stage breakdown when
 telemetry is on), and captured per-circuit failures.
 
-Every circuit is mapped by a *pristine* pickled copy of the mapper, so
-results are independent of execution order and of the worker count —
-``workers=1`` and ``workers=N`` produce byte-identical records.  (This
-differs from the legacy serial sweep only for stateful mappers, where
-the serial loop threads one RNG through all circuits.)
+A mapping is a pure function of (circuit, device, seed): routers and
+placements seed a fresh generator inside each call, so no mapper
+carries state from one circuit to the next.  Results are therefore
+independent of execution order and of the worker count — ``workers=1``
+(inline, the path :func:`repro.experiments.common.run_suite` takes by
+default) and ``workers=N`` produce byte-identical records.
 
 Telemetry
 ---------
@@ -37,8 +38,8 @@ path makes the run crash-safe: every completed circuit is durably
 appended (atomic tmp-file+rename) before the next result is awaited,
 and ``resume=True`` skips journaled circuits and splices their decoded
 records back in, byte-identical to an uninterrupted run.  With every
-resilience knob left at its default, the legacy code path runs
-unchanged — bit-for-bit the same report as before this layer existed.
+resilience knob left at its default, each circuit is mapped once and a
+mapping exception becomes a :class:`CircuitFailure`.
 """
 
 from __future__ import annotations
@@ -220,8 +221,8 @@ class SuiteRunReport:
         hard timeout.
     resilience:
         One :class:`CircuitResilience` per kept benchmark, in suite
-        order, when the run used the fault-tolerant path; empty on the
-        legacy path.
+        order, when the run used the fault-tolerant path; empty
+        otherwise.
     resumed:
         Circuits whose results were spliced in from the resume journal
         instead of being recomputed.
@@ -259,7 +260,8 @@ class SuiteRunReport:
 
     @property
     def total_mapping_attempts(self) -> int:
-        """Engine-level attempts summed over the suite (0 when legacy)."""
+        """Engine-level attempts summed over the suite (0 without
+        resilience)."""
         return sum(r.attempts for r in self.resilience)
 
     def stage_totals(self) -> Dict[str, float]:
@@ -273,66 +275,47 @@ class SuiteRunReport:
 
 def _map_payload(
     payload: Tuple[
-        BenchmarkCircuit, Device, QuantumMapper, Optional[dict]
-    ]
-):
-    """Map one benchmark; module-level so worker processes can import it.
-
-    The fourth payload element is the telemetry config (``None`` when
-    telemetry is off): ``{"index": suite position, "dir": shard
-    directory or None}``.  With telemetry on, the worker captures its
-    spans/metrics in isolation and returns them alongside the record
-    (and appends the annotated span batch to its per-pid shard file when
-    a directory is configured).
-    """
-    from ..experiments.common import _record
-
-    benchmark, device, mapper, tele = payload
-    if tele is None:
-        return _record(benchmark, mapper.map(benchmark.circuit, device)), None
-    with capture_telemetry(enabled=True) as captured:
-        with span(
-            "suite.circuit", circuit=benchmark.source, index=tele["index"]
-        ):
-            result = mapper.map(benchmark.circuit, device)
-            result.schedule()  # traced: completes the stage breakdown
-        record = _record(benchmark, result)
-    events = annotate_events(
-        [s.to_dict() for s in captured.spans], batch=tele["index"]
-    )
-    if tele.get("dir"):
-        append_worker_events(tele["dir"], events, worker_id=os.getpid())
-    return record, {
-        "events": events,
-        "metrics": captured.metrics_snapshot(),
-    }
-
-
-def _map_payload_resilient(
-    payload: Tuple[
         BenchmarkCircuit,
         Device,
         QuantumMapper,
         Optional[dict],
-        ResilienceConfig,
+        Optional[ResilienceConfig],
         int,
     ]
 ):
-    """Fault-tolerant sibling of :func:`_map_payload`.
+    """Map one benchmark; module-level so worker processes can import it.
 
-    Returns ``(tag, telemetry)`` where ``tag`` is either
-    ``("ok", record, info_dict)`` or ``("failed", error, traceback,
-    info_dict)`` — exhaustion of the whole degradation chain is *data*,
-    not an exception, so the parent can journal and annotate it like any
-    other outcome.  Injected in-worker faults (``kill``) that destroy
-    the process never return, of course; ``parallel_map`` recomputes
-    those serially in the parent, where the same fault key downgrades to
-    a retryable raise and the annotation comes out identical.
+    The payload is ``(benchmark, device, mapper, telemetry, config,
+    index)``.  ``telemetry`` is ``None`` when telemetry is off, else
+    ``{"index": suite position, "dir": shard directory or None}``: the
+    worker then captures its spans/metrics in isolation and returns them
+    alongside the outcome (and appends the annotated span batch to its
+    per-pid shard file when a directory is configured).
+
+    Returns ``(tag, telemetry)`` where ``tag`` is ``("ok", record,
+    info_dict)`` or ``("failed", error, traceback, info_dict)``.  With
+    ``config=None`` the circuit is mapped once, ``info_dict`` is
+    ``None`` and a mapping exception propagates (``parallel_map``
+    captures it per item).  With a
+    :class:`~repro.resilience.engine.ResilienceConfig` the circuit runs
+    under :func:`~repro.resilience.engine.map_with_resilience`, and
+    exhaustion of the whole degradation chain is *data*, not an
+    exception, so the parent can journal and annotate it like any other
+    outcome.  Injected in-worker faults (``kill``) that destroy the
+    process never return, of course; ``parallel_map`` recomputes those
+    serially in the parent, where the same fault key downgrades to a
+    retryable raise and the annotation comes out identical.
     """
     from ..experiments.common import _record
 
     benchmark, device, mapper, tele, config, index = payload
-    if tele is None:
+
+    def map_circuit():
+        """Map once, or under the resilience engine; the tag holds the
+        :class:`MappingResult` until :func:`finish` turns it into a
+        record."""
+        if config is None:
+            return "ok", mapper.map(benchmark.circuit, device), None
         try:
             result, info = map_with_resilience(
                 benchmark.circuit, device, mapper, config, circuit_index=index
@@ -343,33 +326,24 @@ def _map_payload_resilient(
                 f"ResilienceExhausted: {exc}",
                 traceback.format_exc(),
                 exc.info.to_dict(),
-            ), None
-        return ("ok", _record(benchmark, result), info.to_dict()), None
+            )
+        return "ok", result, info.to_dict()
+
+    def finish(tag):
+        if tag[0] != "ok":
+            return tag
+        return "ok", _record(benchmark, tag[1]), tag[2]
+
+    if tele is None:
+        return finish(map_circuit()), None
     with capture_telemetry(enabled=True) as captured:
-        failure = None
         with span(
             "suite.circuit", circuit=benchmark.source, index=tele["index"]
         ):
-            try:
-                result, info = map_with_resilience(
-                    benchmark.circuit,
-                    device,
-                    mapper,
-                    config,
-                    circuit_index=index,
-                )
-                result.schedule()  # traced: completes the stage breakdown
-            except ResilienceExhausted as exc:
-                failure = (
-                    "failed",
-                    f"ResilienceExhausted: {exc}",
-                    traceback.format_exc(),
-                    exc.info.to_dict(),
-                )
-        if failure is None:
-            tag = ("ok", _record(benchmark, result), info.to_dict())
-        else:
-            tag = failure
+            tag = map_circuit()
+            if tag[0] == "ok":
+                tag[1].schedule()  # traced: completes the stage breakdown
+        tag = finish(tag)
     events = annotate_events(
         [s.to_dict() for s in captured.spans], batch=tele["index"]
     )
@@ -393,10 +367,10 @@ def _stage_breakdown(events: Sequence[dict]) -> Dict[str, float]:
     return stages
 
 
-def _placeholder_info(outcome: ItemOutcome) -> ResilienceInfo:
+def _placeholder_info(attempts: int, error: Optional[str]) -> ResilienceInfo:
     """Annotation for an outcome that died outside the engine."""
     return ResilienceInfo(
-        attempts=outcome.attempts,
+        attempts=attempts,
         retries=0,
         router="",
         mapper="",
@@ -404,7 +378,7 @@ def _placeholder_info(outcome: ItemOutcome) -> ResilienceInfo:
         deadline_expired=False,
         faults_injected=0,
         backoff_total_s=0.0,
-        errors=(outcome.error or "",),
+        errors=(error or "",),
     )
 
 
@@ -425,11 +399,12 @@ def run_suite_parallel(
 ) -> SuiteRunReport:
     """Map a benchmark suite with a worker pool; see :class:`SuiteRunReport`.
 
-    Mirrors :func:`repro.experiments.common.run_suite` semantics
-    (benchmarks wider than the device are skipped; ``progress`` receives
-    ``(index, total, name)`` once per finished circuit, with the index
-    and total the serial loop reports), adding process fan-out,
-    per-circuit timing, and per-circuit failure capture.  When ``workers`` is
+    Benchmarks wider than the device are skipped; ``progress`` receives
+    ``(index, total, name)`` once per finished circuit, with the
+    circuit's position in ``benchmarks`` and their count.  Adds process
+    fan-out, per-circuit timing, and per-circuit failure capture to
+    :func:`repro.experiments.common.run_suite`, which calls this
+    function.  When ``workers`` is
     ``None`` the ``REPRO_WORKERS`` environment variable is consulted
     first (falling back to the CPU count), so one environment setting
     configures every fan-out in a run.
@@ -592,24 +567,10 @@ def run_suite_parallel(
         if progress is not None:
             progress(positions[kept_index], len(benchmarks), benchmark.source)
 
-    worker_fn = _map_payload_resilient if resilience_active else _map_payload
-    payloads: List[Any] = []
-    for kept_index, benchmark in pending:
-        if resilience_active:
-            payloads.append(
-                (
-                    benchmark,
-                    device,
-                    mapper,
-                    _tele_config(kept_index),
-                    config,
-                    kept_index,
-                )
-            )
-        else:
-            payloads.append(
-                (benchmark, device, mapper, _tele_config(kept_index))
-            )
+    payloads = [
+        (benchmark, device, mapper, _tele_config(kept_index), config, kept_index)
+        for kept_index, benchmark in pending
+    ]
 
     report = SuiteRunReport(skipped=skipped)
     report.resumed = len(completed)
@@ -617,7 +578,7 @@ def run_suite_parallel(
         report.journal_path = str(journal_writer.path)
     with span("suite.run", circuits=len(kept)) as root:
         result = parallel_map(
-            worker_fn,
+            _map_payload,
             payloads,
             workers=workers,
             on_result=_on_result,
@@ -656,16 +617,9 @@ def run_suite_parallel(
                     if entry.get("resilience") is not None:
                         info = ResilienceInfo.from_dict(entry["resilience"])
                     else:
-                        info = ResilienceInfo(
-                            attempts=int(entry.get("pool_attempts", 1)),
-                            retries=0,
-                            router="",
-                            mapper="",
-                            steps=(),
-                            deadline_expired=False,
-                            faults_injected=0,
-                            backoff_total_s=0.0,
-                            errors=(entry.get("error") or "",),
+                        info = _placeholder_info(
+                            int(entry.get("pool_attempts", 1)),
+                            entry.get("error"),
                         )
                     report.resilience.append(
                         CircuitResilience(benchmark.source, info)
@@ -680,48 +634,33 @@ def run_suite_parallel(
                 continue
             outcome = outcome_by_kept[kept_index]
             stages = {}
-            if not resilience_active:
-                if outcome.ok:
-                    record, telemetry_payload = outcome.value
-                    if telemetry_payload is not None:
-                        events = telemetry_payload["events"]
-                        stages = _stage_breakdown(events)
-                        tracing.ingest(events, parent_id=root_id)
-                        get_registry().merge_snapshot(
-                            telemetry_payload["metrics"]
-                        )
-                    report.records.append(record)
+            if outcome.ok:
+                tag, telemetry_payload = outcome.value
+                if telemetry_payload is not None:
+                    events = telemetry_payload["events"]
+                    stages = _stage_breakdown(events)
+                    tracing.ingest(events, parent_id=root_id)
+                    get_registry().merge_snapshot(telemetry_payload["metrics"])
+                if tag[0] == "ok":
+                    report.records.append(tag[1])
                 else:
                     report.failures.append(
-                        CircuitFailure(
-                            benchmark.source, outcome.error, outcome.traceback
-                        )
+                        CircuitFailure(benchmark.source, tag[1], tag[2])
                     )
+                info_dict = tag[-1]  # None unless resilience is active
             else:
-                if outcome.ok:
-                    tag, telemetry_payload = outcome.value
-                    if telemetry_payload is not None:
-                        events = telemetry_payload["events"]
-                        stages = _stage_breakdown(events)
-                        tracing.ingest(events, parent_id=root_id)
-                        get_registry().merge_snapshot(
-                            telemetry_payload["metrics"]
-                        )
-                    if tag[0] == "ok":
-                        report.records.append(tag[1])
-                        info = ResilienceInfo.from_dict(tag[2])
-                    else:
-                        report.failures.append(
-                            CircuitFailure(benchmark.source, tag[1], tag[2])
-                        )
-                        info = ResilienceInfo.from_dict(tag[3])
-                else:
-                    report.failures.append(
-                        CircuitFailure(
-                            benchmark.source, outcome.error, outcome.traceback
-                        )
+                report.failures.append(
+                    CircuitFailure(
+                        benchmark.source, outcome.error, outcome.traceback
                     )
-                    info = _placeholder_info(outcome)
+                )
+                info_dict = None
+            if resilience_active:
+                info = (
+                    ResilienceInfo.from_dict(info_dict)
+                    if info_dict is not None
+                    else _placeholder_info(outcome.attempts, outcome.error)
+                )
                 report.resilience.append(
                     CircuitResilience(benchmark.source, info)
                 )

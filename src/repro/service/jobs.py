@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..circuit import Circuit
-from ..compiler import noise_aware_mapper, sabre_mapper, trivial_mapper
+from ..compiler.mapper import MAPPERS
 from ..resilience.journal import decode_record, encode_record
 
 __all__ = [
@@ -38,14 +38,6 @@ PRIORITY_CLASSES = ("interactive", "batch", "bulk")
 
 _PRIORITY_RANK = {name: rank for rank, name in enumerate(PRIORITY_CLASSES)}
 
-#: Mapper factories the service accepts by name (one fresh mapper per
-#: job — mappers carry RNG state, so they are never shared).
-MAPPERS = {
-    "trivial": trivial_mapper,
-    "sabre": sabre_mapper,
-    "noise-aware": noise_aware_mapper,
-}
-
 
 class ServiceError(RuntimeError):
     """A job failed, was rejected, or the service is shutting down."""
@@ -63,8 +55,9 @@ class CompileRequest:
     """One compilation request; picklable so warm workers can take it.
 
     ``device`` and ``mapper`` are registry names (see
-    :func:`repro.hardware.resolve_device` and :data:`MAPPERS`) — the
-    server resolves them, so the client never ships device objects.
+    :func:`repro.hardware.resolve_device` and
+    :data:`repro.compiler.mapper.MAPPERS`) — the server resolves them,
+    so the client never ships device objects.
     ``faults`` is a :meth:`~repro.resilience.faults.FaultPlan.parse`
     spec string evaluated at circuit index 0 (testing/drills only).
     """

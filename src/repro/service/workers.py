@@ -102,10 +102,11 @@ def compute_payload(
     """Compile one request to its canonical payload bytes.
 
     Runs under the resilience engine (per-job deadline, seeded retries,
-    degradation chain), so a transient fault retries with a pristine
-    mapper clone and the surviving result is bit-for-bit what a clean
-    attempt produces.  The record is named by content hash — request
-    cosmetics (circuit ``name``) must not leak into cached bytes.
+    degradation chain).  A mapping is a pure function of (circuit,
+    device, seed), so a retry after a transient fault produces
+    bit-for-bit what a clean attempt produces.  The record is named by
+    content hash — request cosmetics (circuit ``name``) must not leak
+    into cached bytes.
 
     ``attempt_base`` is the number of worker-fatal incidents (crash or
     watchdog-killed hang) this job already caused; the fault plan is

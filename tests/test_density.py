@@ -1,12 +1,11 @@
 """Unit tests for the density-matrix simulator and Kraus channels."""
 
-import math
 
 import numpy as np
 import pytest
 
 from repro.circuit import Circuit
-from repro.hardware import Calibration, IDEAL_CALIBRATION, SURFACE17_CALIBRATION
+from repro.hardware import IDEAL_CALIBRATION, SURFACE17_CALIBRATION
 from repro.metrics import product_fidelity
 from repro.sim import (
     DensityMatrixSimulator,

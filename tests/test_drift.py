@@ -15,7 +15,7 @@ import pytest
 from repro.compiler.routing import clear_distance_cache
 from repro.compiler.scheduling import alap_schedule, asap_schedule
 from repro.hardware import resolve_device
-from repro.hardware.calibration import SURFACE17_CALIBRATION, Calibration
+from repro.hardware.calibration import SURFACE17_CALIBRATION
 from repro.hardware.drift import (
     CalibrationDelta,
     CalibrationStream,

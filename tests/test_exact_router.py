@@ -11,7 +11,7 @@ from repro.compiler import (
     TrivialRouter,
     optimal_swap_count,
 )
-from repro.hardware import all_to_all_device, line_device, surface7_device
+from repro.hardware import all_to_all_device, line_device
 from repro.sim import verify_mapping
 from repro.workloads import random_circuit
 

@@ -9,7 +9,6 @@ import pytest
 
 from repro.experiments import (
     GATE_LIMIT_A_C,
-    MappingRecord,
     fig3_data,
     fig3_summary,
     fig5_data,

@@ -5,13 +5,7 @@ import pytest
 from repro.circuit import Circuit
 from repro.compiler import asap_schedule, trivial_mapper
 from repro.core import MapperAdvisor
-from repro.fullstack import (
-    ControlModel,
-    FullStack,
-    IsaProgram,
-    compile_to_isa,
-)
-from repro.hardware import surface7_device
+from repro.fullstack import ControlModel, FullStack, compile_to_isa
 from repro.workloads import ghz_state
 
 

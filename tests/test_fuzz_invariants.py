@@ -71,8 +71,8 @@ class TestBankOnHealthyCode:
 class TestDifferentialDetection:
     def test_sabre_twin_catches_divergent_router(self):
         class OffByOne(SabreRouter):
-            def _select(self, scores):
-                draw = super()._select(scores)
+            def _select(self, scores, rng):
+                draw = super()._select(scores, rng)
                 # Shift the chosen index by one whenever possible.
                 return (draw + 1) % max(1, len(list(scores)))
 

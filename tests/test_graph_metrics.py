@@ -1,14 +1,11 @@
 """Unit tests for the Table I metric suite, cross-validated with networkx."""
 
-import math
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit
 from repro.core import (
-    GraphMetrics,
     InteractionGraph,
     METRIC_NAMES,
     PAPER_RETAINED_METRICS,
@@ -16,7 +13,7 @@ from repro.core import (
     circuit_graph_metrics,
     compute_metrics,
 )
-from repro.workloads import ghz_state, random_circuit, vqe_ansatz
+from repro.workloads import ghz_state, random_circuit
 
 
 def _graph_from_edges(n, edges):

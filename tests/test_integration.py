@@ -6,11 +6,9 @@ downstream user would: generate → persist → reload → compile → schedule
 single unit.
 """
 
-import numpy as np
 import pytest
 
 from repro import (
-    Circuit,
     ControlModel,
     FullStack,
     MapperAdvisor,
@@ -23,7 +21,6 @@ from repro.compiler import asap_schedule
 from repro.experiments import records_to_csv, run_suite
 from repro.fullstack import compile_to_isa
 from repro.hardware import surface17_extended_device
-from repro.metrics import product_fidelity
 from repro.workloads import (
     evaluation_suite,
     ghz_state,

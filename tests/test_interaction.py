@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuit import Circuit
 from repro.core import InteractionGraph, interaction_graph
-from repro.workloads import ghz_state, qft, random_circuit
+from repro.workloads import ghz_state, random_circuit
 
 
 class TestConstruction:

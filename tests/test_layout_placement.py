@@ -11,7 +11,7 @@ from repro.compiler import (
     RandomPlacement,
     TrivialPlacement,
 )
-from repro.hardware import line_device, surface7_device
+from repro.hardware import line_device
 
 
 class TestLayout:

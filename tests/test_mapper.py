@@ -4,7 +4,6 @@ import pytest
 
 from repro.circuit import Circuit
 from repro.compiler import (
-    MappingResult,
     QuantumMapper,
     TrivialPlacement,
     TrivialRouter,
@@ -12,7 +11,7 @@ from repro.compiler import (
     sabre_mapper,
     trivial_mapper,
 )
-from repro.hardware import surface17_device, surface7_device
+from repro.hardware import surface17_device
 from repro.workloads import cuccaro_adder, ghz_state, qft, random_circuit
 
 MAPPERS = [trivial_mapper(), sabre_mapper(), noise_aware_mapper()]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.circuit import Circuit
 from repro.compiler import asap_schedule
-from repro.hardware import IDEAL_CALIBRATION, SURFACE17_CALIBRATION
+from repro.hardware import IDEAL_CALIBRATION
 from repro.metrics import (
     decoherence_fidelity,
     fidelity_decrease,

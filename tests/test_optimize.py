@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from repro.circuit import Circuit, Gate
+from repro.circuit import Circuit
 from repro.compiler import (
     cancel_inverse_pairs,
     merge_rotations,

@@ -5,7 +5,6 @@ import pytest
 from repro.circuit import Circuit
 from repro.compiler import (
     IsomorphismPlacement,
-    Layout,
     QuantumMapper,
     SabrePlacement,
     SabreRouter,
@@ -13,7 +12,7 @@ from repro.compiler import (
     TrivialRouter,
 )
 from repro.core import InteractionGraph
-from repro.hardware import line_device, surface17_device, surface7_device
+from repro.hardware import line_device
 from repro.workloads import ghz_state, ising_ring, qft, random_circuit
 
 

@@ -10,7 +10,6 @@ from repro.core import (
     routing_difficulty,
     spearman_correlation,
 )
-from repro.hardware import surface7_device
 from repro.workloads import (
     fig4_qaoa_circuit,
     fig4_random_circuit,

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuit import Circuit, Gate, parse_qasm, to_qasm
+from repro.circuit import Circuit, parse_qasm, to_qasm
 from repro.compiler import (
     Layout,
     SabreRouter,
@@ -27,7 +27,7 @@ from repro.compiler import (
     optimize_circuit,
 )
 from repro.core import InteractionGraph, compute_metrics
-from repro.hardware import SURFACE17_GATESET, CNOT_GATESET, line_device, surface7_device
+from repro.hardware import SURFACE17_GATESET, CNOT_GATESET, line_device
 from repro.metrics import product_fidelity
 from repro.sim import circuits_equivalent, verify_mapping
 

@@ -159,8 +159,8 @@ class TestEngine:
         assert info.router == "sabre"
         assert info.backoff_total_s > 0.0
         assert any("InjectedFault" in error for error in info.errors)
-        # The retry maps with a pristine mapper clone, so the record is
-        # identical to a clean first attempt.
+        # A mapping is a pure function of (circuit, device, seed), so the
+        # retry's record is identical to a clean first attempt.
         clean, _ = map_with_resilience(
             circuit, device, sabre_mapper(), ResilienceConfig(deadline_s=60.0)
         )

@@ -8,7 +8,7 @@ The two key invariants, checked for every router on every test circuit:
 
 import pytest
 
-from repro.circuit import Circuit, Gate
+from repro.circuit import Circuit
 from repro.compiler import (
     Layout,
     NoiseAwareRouter,
@@ -21,7 +21,6 @@ from repro.hardware import (
     Device,
     line_device,
     all_to_all_device,
-    surface7_device,
 )
 from repro.sim import verify_mapping
 from repro.workloads import qft, random_circuit

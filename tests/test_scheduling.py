@@ -4,7 +4,6 @@ import pytest
 
 from repro.circuit import Circuit
 from repro.compiler import alap_schedule, asap_schedule
-from repro.hardware import SURFACE17_CALIBRATION
 
 
 def overlapping(a, b):

@@ -12,7 +12,7 @@ from repro import telemetry
 from repro.compiler import sabre_mapper
 from repro.hardware import surface17_device
 from repro.runtime import run_suite_parallel
-from repro.telemetry import export, tracing
+from repro.telemetry import export
 from repro.telemetry.merge import MERGED_FILENAME, WORKER_DIR_NAME
 from repro.workloads import small_suite
 

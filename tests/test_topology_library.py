@@ -1,6 +1,5 @@
 """Unit tests for the topology generators (repro.hardware.library)."""
 
-import math
 
 import pytest
 

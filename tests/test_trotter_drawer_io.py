@@ -1,6 +1,5 @@
 """Tests for the Trotter workloads, the ASCII drawer and suite I/O."""
 
-import math
 
 import numpy as np
 import pytest

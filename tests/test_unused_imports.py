@@ -1,4 +1,5 @@
-"""No unused top-level import under ``src/repro``.
+"""No unused top-level import under ``src/repro``, ``tests``,
+``benchmarks``, ``examples`` or ``bench``.
 
 A standard-library stand-in for pyflakes' F401: every name a module
 binds with a module-level ``import`` must be read somewhere in that
@@ -10,7 +11,10 @@ exempts it, and ``from __future__`` imports are always allowed.
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "repro"
 
 
 def _names_in_strings(node: ast.AST) -> set:
@@ -72,13 +76,22 @@ def unused_imports(path: Path) -> list:
     )
 
 
-def test_no_unused_imports_in_src():
-    found = [
-        f"{path.relative_to(SRC.parent)}:{line}: {name}"
-        for path in sorted(SRC.rglob("*.py"))
+def _unused_under(directory: Path) -> list:
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in sorted(directory.rglob("*.py"))
         for line, name in unused_imports(path)
     ]
-    assert found == []
+
+
+def test_no_unused_imports_in_src():
+    assert _unused_under(SRC) == []
+
+
+@pytest.mark.parametrize("directory", ["tests", "benchmarks", "examples", "bench"])
+def test_no_unused_imports_outside_src(directory):
+    assert (ROOT / directory).is_dir()
+    assert _unused_under(ROOT / directory) == []
 
 
 def test_scanner_flags_an_unused_import(tmp_path):

@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuit import Circuit, size_parameters
 from repro.sim import circuit_unitary, probabilities, sample_counts, statevector
 from repro.workloads import (
     bernstein_vazirani,

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.circuit import size_parameters
 from repro.workloads import (
     random_circuit,
     random_clifford_circuit,
